@@ -37,7 +37,11 @@ ShardRouter::ShardRouter(RouterConfig config)
     : config_(std::move(config)),
       map_(config_.shard_count, ShardMapConfig{config_.vnodes}),
       consecutive_failures_(config_.shard_count, 0),
-      probe_attempts_(config_.shard_count, 0) {
+      probe_attempts_(config_.shard_count, 0),
+      sessions_(config_.poison_budget, config_.resync_scan_bytes,
+                [this](FrameSession& session, const Frame& frame) {
+                  on_frame(static_cast<Session*>(&session), frame);
+                }) {
   DLS_REQUIRE(config_.shard_count >= 1, "router needs at least one shard");
   DLS_REQUIRE(config_.connect != nullptr,
               "router needs a shard connect factory");
@@ -59,28 +63,19 @@ PipeEnd ShardRouter::connect() {
 }
 
 void ShardRouter::adopt(std::unique_ptr<Transport> transport) {
-  DLS_REQUIRE(transport != nullptr, "adopt() needs a transport");
-  std::lock_guard<std::mutex> lock(sessions_mutex_);
-  DLS_REQUIRE(accepting_, "adopt()/connect() on a stopped router");
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->reader.joinable()) (*it)->reader.join();
-      it = sessions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   auto session = std::make_unique<Session>();
   session->end = std::move(transport);
   session->backends.resize(config_.shard_count);
   session->backend_next_id.assign(config_.shard_count, 1);
-  Session* raw = session.get();
-  session->reader = std::thread([this, raw] {
-    session_loop(raw);
-    raw->done.store(true, std::memory_order_release);
-  });
-  sessions_.push_back(std::move(session));
+  sessions_.adopt(std::move(session));
   DLS_COUNT("serve.shard.router_sessions");
+}
+
+void ShardRouter::Session::close() noexcept {
+  FrameSession::close();
+  for (auto& backend : backends) {
+    if (backend) backend->close();
+  }
 }
 
 void ShardRouter::stop() {
@@ -91,28 +86,18 @@ void ShardRouter::stop() {
   }
   health_cv_.notify_all();
   if (monitor_.joinable()) monitor_.join();
-  std::vector<std::unique_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    accepting_ = false;
-    sessions.swap(sessions_);
-  }
-  // Closing the client end unblocks the reader's frame read; closing
-  // the backends unblocks a reader parked inside a forward round trip.
-  for (auto& session : sessions) {
-    session->end->close();
-    for (auto& backend : session->backends) {
-      if (backend) backend->close();
-    }
-  }
-  for (auto& session : sessions) {
-    if (session->reader.joinable()) session->reader.join();
-  }
+  sessions_.stop();
 }
 
 RouterStats ShardRouter::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  RouterStats stats;
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats = stats_;
+  }
+  stats.poison_frames = sessions_.poison_frames();
+  stats.quarantined = sessions_.quarantined();
+  return stats;
 }
 
 std::vector<bool> ShardRouter::alive() const {
@@ -153,73 +138,38 @@ void ShardRouter::set_alive(std::size_t shard, bool alive) {
   health_cv_.notify_all();
 }
 
-void ShardRouter::session_loop(Session* session) {
-  std::size_t poison = 0;
-  try {
-    for (;;) {
-      std::size_t skipped = 0;
-      std::optional<Frame> frame;
-      try {
-        frame = read_frame_resync(*session->end, config_.resync_scan_bytes,
-                                  &skipped);
-      } catch (const FrameTruncationError&) {
-        return;  // peer vanished mid-frame
-      } catch (const FrameChecksumError&) {
-        ++poison;
-        DLS_COUNT("serve.shard.poison_frames");
-        if (poison > config_.poison_budget) {
-          session->end->close();
-          return;
-        }
-        continue;
-      } catch (const codec::DecodeError&) {
-        session->end->close();  // resync gave up: quarantine
-        return;
-      }
-      if (skipped > 0) {
-        ++poison;
-        DLS_COUNT("serve.shard.poison_frames");
-        if (poison > config_.poison_budget) {
-          session->end->close();
-          return;
-        }
-      }
-      if (!frame) return;  // clean EOF
-      if (frame->type != FrameType::kScheduleRequest) {
-        ScheduleResponse refusal;
-        refusal.status = ScheduleStatus::kError;
-        refusal.error = "unexpected frame type '" + to_string(frame->type) +
-                        "' (expected schedule_request)";
-        send_response(session, refusal);
-        continue;
-      }
-      // Verbatim fast path: a payload byte-identical (modulo id) to
-      // one already answered inline replays the cached encoding before
-      // any decode work happens.
-      if (config_.replay_cache_capacity > 0 &&
-          try_replay(session, frame->payload)) {
-        continue;
-      }
-      ScheduleRequest request;
-      try {
-        request = decode_schedule_request(frame->payload);
-      } catch (const codec::DecodeError& e) {
-        ScheduleResponse refusal;
-        refusal.status = ScheduleStatus::kError;
-        refusal.error = e.what();
-        send_response(session, refusal);
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.received;
-      }
-      DLS_COUNT("serve.shard.requests");
-      handle_request(session, request, frame->payload);
-    }
-  } catch (const TransportError&) {
-    // Client connection died; nothing to salvage.
+void ShardRouter::on_frame(Session* session, const Frame& frame) {
+  if (frame.type != FrameType::kScheduleRequest) {
+    ScheduleResponse refusal;
+    refusal.status = ScheduleStatus::kError;
+    refusal.error = "unexpected frame type '" + to_string(frame.type) +
+                    "' (expected schedule_request)";
+    send_response(session, refusal);
+    return;
   }
+  // Verbatim fast path: a payload byte-identical (modulo id) to one
+  // already answered inline replays the cached encoding before any
+  // decode work happens.
+  if (config_.replay_cache_capacity > 0 &&
+      try_replay(session, frame.payload)) {
+    return;
+  }
+  ScheduleRequest request;
+  try {
+    request = decode_schedule_request(frame.payload);
+  } catch (const codec::DecodeError& e) {
+    ScheduleResponse refusal;
+    refusal.status = ScheduleStatus::kError;
+    refusal.error = e.what();
+    send_response(session, refusal);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.received;
+  }
+  DLS_COUNT("serve.shard.requests");
+  handle_request(session, request, frame.payload);
 }
 
 bool ShardRouter::try_replay(Session* session,
@@ -352,7 +302,6 @@ void ShardRouter::handle_request(Session* session,
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.no_owner;
-      ++stats_.refused;
     }
     DLS_COUNT("serve.shard.no_owner");
     send_response(session, refusal);
@@ -396,16 +345,7 @@ void ShardRouter::handle_request(Session* session,
   for (const std::size_t shard : owners) {
     results.push_back(forward(session, shard, request));
   }
-  const ScheduleResponse merged = merge(request, results);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (merged.status == ScheduleStatus::kOk) {
-      ++stats_.answered_ok;
-    } else {
-      ++stats_.refused;
-    }
-  }
-  send_response(session, merged);
+  send_response(session, merge(request, results));
 }
 
 ShardRouter::ForwardResult ShardRouter::forward(
@@ -547,6 +487,14 @@ ScheduleResponse ShardRouter::merge(const ScheduleRequest& request,
 
 void ShardRouter::send_response(Session* session,
                                 const ScheduleResponse& response) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    if (response.status == ScheduleStatus::kOk) {
+      ++stats_.answered_ok;
+    } else {
+      ++stats_.refused;
+    }
+  }
   try {
     Frame frame;
     frame.type = FrameType::kScheduleResponse;
@@ -563,26 +511,14 @@ void ShardRouter::note_forward_failure(std::size_t shard) {
     ++stats_.forward_failures;
   }
   DLS_COUNT("serve.shard.forward_failures");
-  bool died = false;
+  bool exhausted = false;
   {
     std::lock_guard<std::mutex> lock(health_mutex_);
-    ++consecutive_failures_[shard];
-    if (consecutive_failures_[shard] >= config_.heartbeat.retry_budget &&
-        map_.alive(shard)) {
-      map_.set_alive(shard, false);
-      probe_attempts_[shard] = 0;
-      died = true;
-    }
+    exhausted =
+        ++consecutive_failures_[shard] >= config_.heartbeat.retry_budget;
   }
-  if (!died) return;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.shard_deaths;
-    ++stats_.rebalances;
-  }
-  DLS_COUNT("serve.shard.deaths");
-  DLS_COUNT("serve.shard.rebalances");
-  health_cv_.notify_all();  // wake the monitor to start probing
+  // Confirmed dead; set_alive wakes the monitor to start probing.
+  if (exhausted) set_alive(shard, false);
 }
 
 void ShardRouter::note_forward_success(std::size_t shard) {
@@ -617,35 +553,22 @@ void ShardRouter::monitor_loop() {
       } catch (const dls::Error&) {
         revived = false;
       }
+      if (revived) {
+        set_alive(shard, true);
+        continue;
+      }
       std::size_t attempt = 0;
       {
         std::lock_guard<std::mutex> lock(health_mutex_);
-        if (revived) {
-          map_.set_alive(shard, true);
-          consecutive_failures_[shard] = 0;
-          probe_attempts_[shard] = 0;
-          next_probe[shard] = Clock::now();
-        } else {
-          attempt = ++probe_attempts_[shard];
-        }
+        attempt = ++probe_attempts_[shard];
       }
-      if (revived) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.shard_revivals;
-          ++stats_.rebalances;
-        }
-        DLS_COUNT("serve.shard.revivals");
-        DLS_COUNT("serve.shard.rebalances");
-      } else {
-        DLS_COUNT("serve.shard.probes");
-        // Same backoff arithmetic the crash monitor uses, so probe
-        // cadence is bit-identical for the same knobs.
-        const double wait = protocol::exponential_backoff(
-            config_.heartbeat.period, config_.heartbeat.backoff_factor,
-            attempt, config_.heartbeat.max_backoff);
-        next_probe[shard] = Clock::now() + seconds_of(wait);
-      }
+      DLS_COUNT("serve.shard.probes");
+      // Same backoff arithmetic the crash monitor uses, so probe
+      // cadence is bit-identical for the same knobs.
+      const double wait = protocol::exponential_backoff(
+          config_.heartbeat.period, config_.heartbeat.backoff_factor,
+          attempt, config_.heartbeat.max_backoff);
+      next_probe[shard] = Clock::now() + seconds_of(wait);
     }
   }
 }

@@ -1,6 +1,5 @@
 // The sharded-federation front-end: routes schedule requests across N
-// SchedulerService shards, replicates solves, and quorum-checks the
-// answers.
+// SchedulerService shards, replicates solves, quorum-checks the answers.
 //
 // Shape (BOINC-style dispatch, sched/ exemplar in ROADMAP):
 //
@@ -10,7 +9,8 @@
 //         (colocated shard)          │
 //                               health monitor (heartbeat-style probes)
 //
-//  * Each client connection gets a reader thread and lazy backend links.
+//  * Client connections run on the SessionCore shared with the service
+//    (raw payload in, before any decode) plus lazy backend links.
 //  * A request's owners are the first R distinct alive shards clockwise
 //    from its canonical_topology_key ring position (shard.hpp). The
 //    primary owner's colocated service (RouterConfig::local) answers
@@ -29,7 +29,6 @@
 // Metrics (serve.shard.* / serve.quorum.*): see docs/OBSERVABILITY.md.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -49,6 +48,7 @@
 #include "protocol/recovery.hpp"
 #include "serve/pipe.hpp"
 #include "serve/service.hpp"
+#include "serve/session.hpp"
 #include "serve/shard.hpp"
 #include "serve/transport.hpp"
 
@@ -125,6 +125,10 @@ struct RouterStats {
   std::uint64_t shard_deaths = 0;      ///< retry budget exhausted
   std::uint64_t shard_revivals = 0;    ///< monitor probe reconnected
   std::uint64_t rebalances = 0;        ///< liveness edges (death+revival)
+  std::uint64_t poison_frames = 0;     ///< client frames recovered via resync
+                                       ///< or failing their checksum
+  std::uint64_t quarantined = 0;       ///< client connections closed for
+                                       ///< poison
 };
 
 class ShardRouter {
@@ -153,14 +157,17 @@ class ShardRouter {
   std::vector<bool> alive() const;
 
   /// Marks a shard dead/alive by hand (tests, draining for deploys).
-  /// Counted as a rebalance when the flag actually flips.
+  /// Counted as a rebalance when the flag actually flips. The one place
+  /// liveness changes: confirmed deaths and monitor revivals land here
+  /// too.
   void set_alive(std::size_t shard, bool alive);
 
  private:
-  struct Session {
-    std::unique_ptr<Transport> end;
-    std::thread reader;
-    std::atomic<bool> done{false};
+  struct Session : FrameSession {
+    /// Also closes the backends, unblocking a reader parked inside a
+    /// forward round trip.
+    void close() noexcept override;
+
     /// Lazily-opened backend link per shard, private to this session.
     std::vector<std::unique_ptr<Transport>> backends;
     std::vector<std::uint64_t> backend_next_id;
@@ -172,7 +179,9 @@ class ShardRouter {
     ScheduleResponse response;
   };
 
-  void session_loop(Session* session);
+  /// SessionCore handler: replays, decodes and routes one client frame;
+  /// anything but a schedule request is refused with a typed kError.
+  void on_frame(Session* session, const Frame& frame);
   /// `payload` is the raw encoded request (for the replay byte-cache).
   void handle_request(Session* session, const ScheduleRequest& request,
                       std::span<const std::uint8_t> payload);
@@ -197,6 +206,7 @@ class ShardRouter {
   /// Merges the owners' replies per the quorum/backpressure policy.
   ScheduleResponse merge(const ScheduleRequest& request,
                          const std::vector<ForwardResult>& results);
+  /// Counts `response` as answered_ok or refused and writes it.
   void send_response(Session* session, const ScheduleResponse& response);
 
   void note_forward_failure(std::size_t shard);
@@ -211,10 +221,6 @@ class ShardRouter {
   std::vector<std::size_t> probe_attempts_;  ///< per dead shard
   std::condition_variable health_cv_;
   bool stopping_ = false;
-
-  mutable std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
-  bool accepting_ = true;
 
   mutable std::mutex stats_mutex_;
   RouterStats stats_;
@@ -252,6 +258,9 @@ class ShardRouter {
   std::deque<std::string> verbatim_fifo_;
 
   std::thread monitor_;
+  /// Built from config_; stop() joins its readers, which call back into
+  /// everything above, before any of it is torn down.
+  SessionCore sessions_;
 };
 
 }  // namespace dls::serve

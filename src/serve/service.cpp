@@ -26,7 +26,11 @@ SchedulerService::SchedulerService(ServiceConfig config,
     : config_(config),
       pool_(pool != nullptr ? pool : &exec::ThreadPool::global()),
       cache_(config.cache_capacity),
-      paused_(config.start_paused) {
+      paused_(config.start_paused),
+      sessions_(config.poison_budget, config.resync_scan_bytes,
+                [this](FrameSession& session, const Frame& frame) {
+                  on_frame(session, frame);
+                }) {
   DLS_REQUIRE(config_.queue_capacity >= 1,
               "service needs a queue of at least one request");
   DLS_REQUIRE(config_.max_batch >= 1, "max_batch must be at least 1");
@@ -42,29 +46,9 @@ PipeEnd SchedulerService::connect() {
 }
 
 void SchedulerService::adopt(std::unique_ptr<Transport> transport) {
-  DLS_REQUIRE(transport != nullptr, "adopt() needs a transport");
-  std::lock_guard<std::mutex> lock(sessions_mutex_);
-  DLS_REQUIRE(accepting_, "adopt()/connect() on a stopped service");
-  // Reap sessions whose reader has already returned (peer hung up or
-  // was quarantined) so reconnect storms don't accumulate dead threads
-  // for the lifetime of the service.
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if ((*it)->done.load(std::memory_order_acquire) &&
-        (*it)->pending.load(std::memory_order_acquire) == 0) {
-      if ((*it)->reader.joinable()) (*it)->reader.join();
-      it = sessions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  auto session = std::make_unique<Session>();
+  auto session = std::make_unique<FrameSession>();
   session->end = std::move(transport);
-  Session* raw = session.get();
-  session->reader = std::thread([this, raw] {
-    session_loop(raw);
-    raw->done.store(true, std::memory_order_release);
-  });
-  sessions_.push_back(std::move(session));
+  sessions_.adopt(std::move(session));
   DLS_COUNT("serve.sessions");
 }
 
@@ -113,158 +97,66 @@ void SchedulerService::resume() {
 }
 
 void SchedulerService::stop() {
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    accepting_ = false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    stopping_ = true;
-    paused_ = false;
-  }
-  queue_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  // Closing the server ends unblocks every reader (EOF) and makes any
-  // late response write throw, which send_response absorbs.
-  std::vector<std::unique_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.swap(sessions_);
-  }
-  for (auto& session : sessions) session->end->close();
-  for (auto& session : sessions) {
-    if (session->reader.joinable()) session->reader.join();
-  }
+  // The dispatcher drains the queue onto still-open connections; after
+  // that, closing a connection makes any late response write throw,
+  // which respond() absorbs.
+  sessions_.stop([this] {
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      stopping_ = true;
+      paused_ = false;
+    }
+    queue_cv_.notify_all();
+    if (dispatcher_.joinable()) dispatcher_.join();
+  });
 }
 
 ServiceStats SchedulerService::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
-}
-
-void SchedulerService::session_loop(Session* session) {
-  std::size_t poison = 0;
-  try {
-    for (;;) {
-      std::size_t skipped = 0;
-      std::optional<Frame> frame;
-      try {
-        frame = read_frame_resync(*session->end, config_.resync_scan_bytes,
-                                  &skipped);
-      } catch (const FrameTruncationError&) {
-        // Peer vanished mid-frame (torn write / silent disconnect):
-        // the connection is dead, nothing to salvage.
-        return;
-      } catch (const FrameChecksumError&) {
-        // Payload corrupted in flight, but the announced length was
-        // fully consumed so the stream is still frame-aligned: a
-        // poison frame, not a dead connection.
-        ++poison;
-        DLS_COUNT("serve.fault.checksum_mismatches");
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.poison_frames;
-        }
-        if (poison > config_.poison_budget) {
-          quarantine(session);
-          return;
-        }
-        continue;
-      } catch (const codec::DecodeError&) {
-        // The resync scan gave up (budget exhausted or the stream died
-        // while hunting): this peer is sending garbage, not frames.
-        quarantine(session);
-        return;
-      }
-      if (skipped > 0) {
-        // A malformed header was skipped over: count the poison frame
-        // and quarantine peers that keep sending them.
-        ++poison;
-        DLS_COUNT("serve.fault.poison_frames");
-        DLS_COUNT("serve.fault.resync_bytes", skipped);
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.poison_frames;
-        }
-        if (poison > config_.poison_budget) {
-          quarantine(session);
-          return;
-        }
-      }
-      if (!frame) return;  // clean EOF: the client hung up
-      if (frame->type == FrameType::kMultiScheduleRequest) {
-        MultiScheduleRequest request;
-        try {
-          request = decode_multi_schedule_request(frame->payload);
-        } catch (const codec::DecodeError& e) {
-          MultiScheduleResponse refusal;
-          refusal.status = ScheduleStatus::kError;
-          refusal.error = e.what();
-          count_multi_response(refusal);
-          send_multi_response(session, refusal);
-          continue;
-        }
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.received;
-          ++stats_.multi_received;
-        }
-        DLS_COUNT("serve.multi.requests");
-        Pending pending;
-        pending.multi = std::move(request);
-        pending.session = session;
-        admit(std::move(pending));
-        continue;
-      }
-      if (frame->type != FrameType::kScheduleRequest) {
-        ScheduleResponse refusal;
-        refusal.status = ScheduleStatus::kError;
-        refusal.error = "unexpected frame type '" + to_string(frame->type) +
-                        "' (expected schedule_request)";
-        count_response(refusal);
-        send_response(session, refusal);
-        continue;
-      }
-      ScheduleRequest request;
-      try {
-        request = decode_schedule_request(frame->payload);
-      } catch (const codec::DecodeError& e) {
-        ScheduleResponse refusal;
-        refusal.status = ScheduleStatus::kError;
-        refusal.error = e.what();
-        count_response(refusal);
-        send_response(session, refusal);
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.received;
-      }
-      DLS_COUNT("serve.requests");
-      Pending pending;
-      pending.request = std::move(request);
-      pending.session = session;
-      admit(std::move(pending));
-    }
-  } catch (const TransportError&) {
-    // Peer vanished; the connection is dead either way.
-  }
-}
-
-void SchedulerService::quarantine(Session* session) {
+  ServiceStats stats;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.quarantined;
+    stats = stats_;
   }
-  DLS_COUNT("serve.quarantined");
-  // Closing only this connection tears down the poisoned peer without
-  // touching the dispatcher or any other session; the client observes
-  // EOF for anything it still believes is in flight.
-  session->end->close();
+  stats.poison_frames = sessions_.poison_frames();
+  stats.quarantined = sessions_.quarantined();
+  return stats;
 }
 
-bool SchedulerService::try_brownout(const ScheduleRequest& request,
-                                    Session* session) {
+void SchedulerService::on_frame(FrameSession& session, const Frame& frame) {
+  const bool multi = frame.type == FrameType::kMultiScheduleRequest;
+  if (!multi && frame.type != FrameType::kScheduleRequest) {
+    respond(session, refusal(false, 0, ScheduleStatus::kError,
+                             "unexpected frame type '" +
+                                 to_string(frame.type) +
+                                 "' (expected schedule_request)"));
+    return;
+  }
+  Pending pending;
+  pending.session = &session;
+  try {
+    if (multi) {
+      pending.multi = decode_multi_schedule_request(frame.payload);
+    } else {
+      pending.request = decode_schedule_request(frame.payload);
+    }
+  } catch (const codec::DecodeError& e) {
+    respond(session, refusal(multi, 0, ScheduleStatus::kError, e.what()));
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.received;
+    if (multi) ++stats_.multi_received;
+  }
+  if (multi) {
+    DLS_COUNT("serve.multi.requests");
+  } else {
+    DLS_COUNT("serve.requests");
+  }
+  admit(std::move(pending));
+}
+
+bool SchedulerService::try_brownout(const Pending& pending) {
   if (config_.brownout_watermark == 0) return false;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -275,7 +167,11 @@ bool SchedulerService::try_brownout(const ScheduleRequest& request,
   // bytes are identical to a queued solve) and refuse the rest with a
   // typed hint instead of letting the queue shed blindly.
   DLS_SPAN("serve.brownout");
-  if (!request.options.want_payments) {
+  const ScheduleRequest& request = pending.request;
+  // Payments need the full mechanism run, never just cached bytes, and
+  // a multi-load answer depends on the whole load mix, never on the
+  // topology alone: both always degrade during a brown-out.
+  if (!pending.multi && !request.options.want_payments) {
     const codec::Bytes key = canonical_topology_key(request.w, request.z);
     if (const SolveCache::Value solution = cache_.lookup(key)) {
       ScheduleResponse response;
@@ -285,55 +181,24 @@ bool SchedulerService::try_brownout(const ScheduleRequest& request,
       response.alpha = solution->alpha;
       response.makespan = solution->makespan;
       DLS_COUNT("serve.brownout.cache_hits");
-      count_response(response);
-      send_response(session, response);
+      respond(*pending.session, std::move(response));
       return true;
     }
   }
-  // Payments need the full mechanism run, never just cached bytes, so
-  // want_payments traffic always degrades during a brown-out.
-  ScheduleResponse degraded;
-  degraded.request_id = request.request_id;
-  degraded.status = ScheduleStatus::kDegraded;
-  degraded.error = "service degraded: queue above brown-out watermark";
-  degraded.retry_after_us = config_.degraded_retry_after_us;
-  count_response(degraded);
-  send_response(session, degraded);
-  return true;
-}
-
-bool SchedulerService::try_brownout_multi(const MultiScheduleRequest& request,
-                                          Session* session) {
-  if (config_.brownout_watermark == 0) return false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (queue_.size() < config_.brownout_watermark) return false;
-  }
-  // No cache fast path here: a multi-load answer depends on the whole
-  // load mix, never on topology alone, so brown-out always refuses
-  // with the typed hint.
-  DLS_SPAN("serve.brownout");
-  MultiScheduleResponse degraded;
-  degraded.request_id = request.request_id;
-  degraded.status = ScheduleStatus::kDegraded;
-  degraded.error = "service degraded: queue above brown-out watermark";
-  degraded.retry_after_us = config_.degraded_retry_after_us;
-  count_multi_response(degraded);
-  send_multi_response(session, degraded);
+  respond(*pending.session,
+          refusal(pending.multi.has_value(), pending.id(),
+                  ScheduleStatus::kDegraded,
+                  "service degraded: queue above brown-out watermark"));
   return true;
 }
 
 void SchedulerService::admit(Pending pending) {
-  if (pending.multi) {
-    if (try_brownout_multi(*pending.multi, pending.session)) return;
-  } else if (try_brownout(pending.request, pending.session)) {
-    return;
-  }
-  Session* session = pending.session;
+  if (try_brownout(pending)) return;
+  FrameSession& session = *pending.session;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (!stopping_ && queue_.size() < config_.queue_capacity) {
-      session->pending.fetch_add(1, std::memory_order_relaxed);
+      session.pending.fetch_add(1, std::memory_order_relaxed);
       pending.admitted_at = std::chrono::steady_clock::now();
       queue_.push_back(std::move(pending));
       DLS_GAUGE_MAX("serve.queue_depth", static_cast<double>(queue_.size()));
@@ -347,19 +212,8 @@ void SchedulerService::admit(Pending pending) {
   }
   // Explicit backpressure: the client learns immediately and retries
   // with backoff instead of waiting on a silently growing queue.
-  if (pending.multi) {
-    MultiScheduleResponse shed;
-    shed.request_id = pending.multi->request_id;
-    shed.status = ScheduleStatus::kShed;
-    count_multi_response(shed);
-    send_multi_response(session, shed);
-    return;
-  }
-  ScheduleResponse shed;
-  shed.request_id = pending.request.request_id;
-  shed.status = ScheduleStatus::kShed;
-  count_response(shed);
-  send_response(session, shed);
+  respond(session, refusal(pending.multi.has_value(), pending.id(),
+                           ScheduleStatus::kShed));
 }
 
 void SchedulerService::dispatch_loop() {
@@ -397,21 +251,10 @@ void SchedulerService::dispatch_loop() {
     rest.swap(queue_);
   }
   for (const Pending& pending : rest) {
-    if (pending.multi) {
-      MultiScheduleResponse refusal;
-      refusal.request_id = pending.multi->request_id;
-      refusal.status = ScheduleStatus::kError;
-      refusal.error = "service stopped before the request was served";
-      count_multi_response(refusal);
-      send_multi_response(pending.session, refusal);
-    } else {
-      ScheduleResponse refusal;
-      refusal.request_id = pending.request.request_id;
-      refusal.status = ScheduleStatus::kError;
-      refusal.error = "service stopped before the request was served";
-      count_response(refusal);
-      send_response(pending.session, refusal);
-    }
+    respond(*pending.session,
+            refusal(pending.multi.has_value(), pending.id(),
+                    ScheduleStatus::kError,
+                    "service stopped before the request was served"));
     pending.session->pending.fetch_sub(1, std::memory_order_release);
   }
 }
@@ -421,11 +264,10 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
                 "{\"batch\":" + std::to_string(batch.size()) + "}");
   DLS_OBSERVE("serve.batch_size", static_cast<double>(batch.size()),
               {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-  std::vector<ScheduleResponse> responses(batch.size());
-  std::vector<MultiScheduleResponse> multi_responses(batch.size());
+  std::vector<Reply> replies(batch.size());
   std::vector<SingleTask> singles;
   std::vector<MissGroup> groups;
-  classify_window(batch, responses, singles, groups);
+  classify_window(batch, replies, singles, groups);
   while (dispatch_scratch_.size() < groups.size()) {
     dispatch_scratch_.push_back(std::make_unique<DispatchScratch>());
   }
@@ -433,13 +275,13 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
   try {
     pool_->parallel_for(group_count + singles.size(), [&](std::size_t t) {
       if (t < group_count) {
-        solve_group(groups[t], *dispatch_scratch_[t], batch, responses);
+        solve_group(groups[t], *dispatch_scratch_[t], batch, replies);
       } else {
         const SingleTask& task = singles[t - group_count];
         if (batch[task.index].multi) {
-          multi_responses[task.index] = handle_multi(batch[task.index]);
+          replies[task.index] = handle_multi(batch[task.index]);
         } else {
-          responses[task.index] = handle(batch[task.index], &task);
+          replies[task.index] = handle(batch[task.index], &task);
         }
       }
     });
@@ -452,19 +294,8 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
     // parallel (classify_window results stand) and keep the dispatcher.
     DLS_COUNT("serve.dispatch.batch_failed");
     const auto refuse = [&](std::size_t i) {
-      if (batch[i].multi) {
-        MultiScheduleResponse& r = multi_responses[i];
-        r = MultiScheduleResponse{};
-        r.request_id = batch[i].multi->request_id;
-        r.status = ScheduleStatus::kError;
-        r.error = e.what();
-      } else {
-        ScheduleResponse& r = responses[i];
-        r = ScheduleResponse{};
-        r.request_id = batch[i].request.request_id;
-        r.status = ScheduleStatus::kError;
-        r.error = e.what();
-      }
+      replies[i] = refusal(batch[i].multi.has_value(), batch[i].id(),
+                           ScheduleStatus::kError, e.what());
     };
     for (const SingleTask& task : singles) refuse(task.index);
     for (const MissGroup& group : groups) {
@@ -479,26 +310,20 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
   // out at DLS_OBS_LEVEL=0 and must not leave a warning behind.
   [[maybe_unused]] const auto now = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].multi) {
-      count_multi_response(multi_responses[i]);
-      send_multi_response(batch[i].session, multi_responses[i]);
-      batch[i].session->pending.fetch_sub(1, std::memory_order_release);
-      continue;
-    }
-    count_response(responses[i]);
-    if (responses[i].status == ScheduleStatus::kOk) {
+    const auto* single = std::get_if<ScheduleResponse>(&replies[i]);
+    if (single != nullptr && single->status == ScheduleStatus::kOk) {
       DLS_OBSERVE("serve.request.latency_us",
                   elapsed_us(batch[i].admitted_at, now),
                   {10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0,
                    5000.0, 10000.0, 20000.0, 50000.0, 100000.0, 1000000.0});
     }
-    send_response(batch[i].session, responses[i]);
+    respond(*batch[i].session, replies[i]);
     batch[i].session->pending.fetch_sub(1, std::memory_order_release);
   }
 }
 
 void SchedulerService::classify_window(const std::vector<Pending>& batch,
-                                       std::vector<ScheduleResponse>& responses,
+                                       std::vector<Reply>& replies,
                                        std::vector<SingleTask>& singles,
                                        std::vector<MissGroup>& groups) {
   if (config_.batch_min_lanes == 0) {
@@ -520,7 +345,7 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
       continue;
     }
     const ScheduleRequest& request = batch[i].request;
-    ScheduleResponse& response = responses[i];
+    auto& response = std::get<ScheduleResponse>(replies[i]);
     response.request_id = request.request_id;
 
     // Same deadline rule handle() applies before touching the solver:
@@ -628,7 +453,7 @@ void SchedulerService::solve_group_lanes(const MissGroup& group,
 void SchedulerService::solve_group(const MissGroup& group,
                                    DispatchScratch& scratch,
                                    const std::vector<Pending>& batch,
-                                   std::vector<ScheduleResponse>& responses) {
+                                   std::vector<Reply>& replies) {
   const std::size_t lanes = group.members.size();
   DLS_SPAN_ARGS("serve.batch.solve",
                 "{\"m\":" + std::to_string(group.chain) +
@@ -651,11 +476,8 @@ void SchedulerService::solve_group(const MissGroup& group,
     // A contract violation (or allocation failure) mid-batch poisons
     // every lane equally; each member gets an error, aliases included.
     const auto fail = [&](std::size_t i) {
-      ScheduleResponse& r = responses[i];
-      r = ScheduleResponse{};
-      r.request_id = batch[i].request.request_id;
-      r.status = ScheduleStatus::kError;
-      r.error = e.what();
+      replies[i] = refusal(false, batch[i].id(), ScheduleStatus::kError,
+                           e.what());
     };
     for (const std::size_t i : group.members) fail(i);
     for (const auto& [i, lane] : group.aliases) fail(i);
@@ -671,7 +493,7 @@ void SchedulerService::solve_group(const MissGroup& group,
     solutions[lane] = std::move(solved);
     cache_.insert(group.keys[lane], solutions[lane]);
 
-    ScheduleResponse& response = responses[i];
+    auto& response = std::get<ScheduleResponse>(replies[i]);
     response.status = ScheduleStatus::kOk;
     response.cache_hit = false;
     response.alpha = solutions[lane]->alpha;
@@ -689,16 +511,14 @@ void SchedulerService::solve_group(const MissGroup& group,
         }
         response.total_payment = assessment.total_payment;
       } catch (const std::exception& e) {
-        response = ScheduleResponse{};
-        response.request_id = request.request_id;
-        response.status = ScheduleStatus::kError;
-        response.error = e.what();
+        replies[i] = refusal(false, request.request_id,
+                             ScheduleStatus::kError, e.what());
       }
     }
   }
 
   for (const auto& [i, lane] : group.aliases) {
-    ScheduleResponse& response = responses[i];
+    auto& response = std::get<ScheduleResponse>(replies[i]);
     response.request_id = batch[i].request.request_id;
     response.status = ScheduleStatus::kOk;
     response.cache_hit = false;
@@ -749,18 +569,11 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
       response.total_payment = assessment.total_payment;
     }
     response.status = ScheduleStatus::kOk;
-  } catch (const dls::Error& e) {
-    response = ScheduleResponse{};
-    response.request_id = request.request_id;
-    response.status = ScheduleStatus::kError;
-    response.error = e.what();
   } catch (const std::exception& e) {
-    // Untyped failure (e.g. bad_alloc): refuse rather than unwind into
-    // the dispatcher thread and kill the service.
-    response = ScheduleResponse{};
-    response.request_id = request.request_id;
-    response.status = ScheduleStatus::kError;
-    response.error = e.what();
+    // Typed (dls::Error) or untyped (e.g. bad_alloc) failure: refuse
+    // rather than unwind into the dispatcher thread and kill the service.
+    return std::get<ScheduleResponse>(refusal(
+        false, request.request_id, ScheduleStatus::kError, e.what()));
   }
   return response;
 }
@@ -817,125 +630,80 @@ MultiScheduleResponse SchedulerService::handle_multi(const Pending& pending) {
       response.total_payment = assessment.total_payment;
     }
     response.status = ScheduleStatus::kOk;
-  } catch (const dls::Error& e) {
-    response = MultiScheduleResponse{};
-    response.request_id = request.request_id;
-    response.status = ScheduleStatus::kError;
-    response.error = e.what();
   } catch (const std::exception& e) {
-    // Untyped failure (bad_alloc, length_error from a hostile request
-    // size): same refusal. Letting it escape would unwind through the
-    // thread pool into the dispatcher thread and terminate the process.
-    response = MultiScheduleResponse{};
-    response.request_id = request.request_id;
-    response.status = ScheduleStatus::kError;
-    response.error = e.what();
+    // Typed (dls::Error) or untyped failure (bad_alloc, length_error
+    // from a hostile request size): letting it escape would unwind
+    // through the thread pool into the dispatcher thread and terminate
+    // the process.
+    return std::get<MultiScheduleResponse>(refusal(
+        true, request.request_id, ScheduleStatus::kError, e.what()));
   }
   return response;
 }
 
-void SchedulerService::send_response(Session* session,
-                                     const ScheduleResponse& response) {
-  try {
-    write_frame(*session->end,
-                Frame{FrameType::kScheduleResponse,
-                      encode_schedule_response(response)});
-  } catch (const TransportError&) {
-    // The client hung up before its answer arrived; nothing to do.
-  }
+SchedulerService::Reply SchedulerService::refusal(bool multi,
+                                                  std::uint64_t request_id,
+                                                  ScheduleStatus status,
+                                                  std::string error) const {
+  const double retry_after_us = status == ScheduleStatus::kDegraded
+                                    ? config_.degraded_retry_after_us
+                                    : 0.0;
+  const auto fill = [&](auto response) -> Reply {
+    response.request_id = request_id;
+    response.status = status;
+    response.error = std::move(error);
+    response.retry_after_us = retry_after_us;
+    return response;
+  };
+  return multi ? fill(MultiScheduleResponse{}) : fill(ScheduleResponse{});
 }
 
-void SchedulerService::send_multi_response(
-    Session* session, const MultiScheduleResponse& response) {
-  try {
-    write_frame(*session->end,
-                Frame{FrameType::kMultiScheduleResponse,
-                      encode_multi_schedule_response(response)});
-  } catch (const TransportError&) {
-    // The client hung up before its answer arrived; nothing to do.
-  }
-}
-
-void SchedulerService::count_multi_response(
-    const MultiScheduleResponse& response) {
+void SchedulerService::respond(FrameSession& session, const Reply& reply) {
+  const auto* multi = std::get_if<MultiScheduleResponse>(&reply);
+  const ScheduleStatus status = multi != nullptr
+                                    ? multi->status
+                                    : std::get<ScheduleResponse>(reply).status;
   {
+    // Both traffic kinds land in the same status counters, struct and
+    // metric alike; multi-load kOk answers also count their loads.
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    switch (response.status) {
+    switch (status) {
       case ScheduleStatus::kOk:
         ++stats_.ok;
-        stats_.multi_loads += response.loads.size();
+        DLS_COUNT("serve.responses.ok");
+        if (multi != nullptr) {
+          stats_.multi_loads += multi->loads.size();
+          DLS_COUNT("serve.multi.loads", multi->loads.size());
+        }
         break;
       case ScheduleStatus::kShed:
         ++stats_.shed;
+        DLS_COUNT("serve.responses.shed");
         break;
       case ScheduleStatus::kExpired:
         ++stats_.expired;
+        DLS_COUNT("serve.responses.expired");
         break;
       case ScheduleStatus::kError:
         ++stats_.errors;
+        DLS_COUNT("serve.responses.error");
         break;
       case ScheduleStatus::kDegraded:
         ++stats_.degraded;
+        DLS_COUNT("serve.degraded");
         break;
     }
   }
-  switch (response.status) {
-    case ScheduleStatus::kOk:
-      DLS_COUNT("serve.multi.responses.ok");
-      DLS_COUNT("serve.multi.loads", response.loads.size());
-      break;
-    case ScheduleStatus::kShed:
-      DLS_COUNT("serve.multi.responses.shed");
-      break;
-    case ScheduleStatus::kExpired:
-      DLS_COUNT("serve.multi.responses.expired");
-      break;
-    case ScheduleStatus::kError:
-      DLS_COUNT("serve.multi.responses.error");
-      break;
-    case ScheduleStatus::kDegraded:
-      DLS_COUNT("serve.multi.responses.degraded");
-      break;
-  }
-}
-
-void SchedulerService::count_response(const ScheduleResponse& response) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    switch (response.status) {
-      case ScheduleStatus::kOk:
-        ++stats_.ok;
-        break;
-      case ScheduleStatus::kShed:
-        ++stats_.shed;
-        break;
-      case ScheduleStatus::kExpired:
-        ++stats_.expired;
-        break;
-      case ScheduleStatus::kError:
-        ++stats_.errors;
-        break;
-      case ScheduleStatus::kDegraded:
-        ++stats_.degraded;
-        break;
-    }
-  }
-  switch (response.status) {
-    case ScheduleStatus::kOk:
-      DLS_COUNT("serve.responses.ok");
-      break;
-    case ScheduleStatus::kShed:
-      DLS_COUNT("serve.responses.shed");
-      break;
-    case ScheduleStatus::kExpired:
-      DLS_COUNT("serve.responses.expired");
-      break;
-    case ScheduleStatus::kError:
-      DLS_COUNT("serve.responses.error");
-      break;
-    case ScheduleStatus::kDegraded:
-      DLS_COUNT("serve.degraded");
-      break;
+  try {
+    write_frame(*session.end,
+                multi != nullptr
+                    ? Frame{FrameType::kMultiScheduleResponse,
+                            encode_multi_schedule_response(*multi)}
+                    : Frame{FrameType::kScheduleResponse,
+                            encode_schedule_response(
+                                std::get<ScheduleResponse>(reply))});
+  } catch (const TransportError&) {
+    // The client hung up before its answer arrived; nothing to do.
   }
 }
 

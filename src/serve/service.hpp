@@ -9,11 +9,10 @@
 //                       ▼                 ▼ deadline      ▼ via cache
 //                    responses written back on the request's connection
 //
-//  * connect() hands out one end of a fresh Pipe; adopt() runs the same
-//    session machinery over any Transport (SocketTransport,
-//    ChaosTransport, ...). A per-connection reader thread decodes
-//    frames and admits *synchronously*: a full queue answers kShed
-//    immediately — backpressure is explicit, never a silent stall.
+//  * connect() / adopt() hand a Transport to the SessionCore shared with
+//    the router (session.hpp). Its reader thread decodes frames and
+//    admits *synchronously*: a full queue answers kShed immediately —
+//    backpressure is explicit, never a silent stall.
 //  * A dispatcher thread drains the queue in batches of at most
 //    `max_batch` and solves them concurrently on the exec::ThreadPool.
 //  * Each request's deadline (admission-relative, µs) is checked before
@@ -29,7 +28,6 @@
 //    whole mix — nothing to cache); single-load bytes are unchanged.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -37,7 +35,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/dls_lbl.hpp"
@@ -46,6 +46,7 @@
 #include "serve/multiload_wire.hpp"
 #include "serve/pipe.hpp"
 #include "serve/service_wire.hpp"
+#include "serve/session.hpp"
 
 namespace dls::serve {
 
@@ -96,7 +97,8 @@ struct ServiceStats {
   std::uint64_t expired = 0;
   std::uint64_t errors = 0;
   std::uint64_t degraded = 0;       ///< kDegraded brown-out refusals
-  std::uint64_t poison_frames = 0;  ///< frames recovered via resync
+  std::uint64_t poison_frames = 0;  ///< frames recovered via resync or
+                                    ///< failing their checksum
   std::uint64_t quarantined = 0;    ///< connections closed for poison
   std::uint64_t batched = 0;        ///< requests answered via batch solves
   std::uint64_t batch_groups = 0;   ///< batched solver runs dispatched
@@ -153,39 +155,31 @@ class SchedulerService {
   const SolveCache& cache() const noexcept { return cache_; }
 
  private:
-  struct Session {
-    std::unique_ptr<Transport> end;  ///< server side of the connection
-    std::thread reader;
-    std::atomic<bool> done{false};  ///< reader loop has returned
-    /// Queued requests still holding a pointer to this session; the
-    /// session may only be reaped once done and pending == 0.
-    std::atomic<std::size_t> pending{0};
-  };
+  /// A response of either traffic kind on its way to the wire.
+  using Reply = std::variant<ScheduleResponse, MultiScheduleResponse>;
   struct Pending {
     ScheduleRequest request;
     /// Engaged for multi-load traffic; `request` is then unused.
     std::optional<MultiScheduleRequest> multi;
     std::chrono::steady_clock::time_point admitted_at;
-    Session* session = nullptr;
+    FrameSession* session = nullptr;
+
+    std::uint64_t id() const {
+      return multi ? multi->request_id : request.request_id;
+    }
   };
 
-  void session_loop(Session* session);
-  /// Closes a connection that exhausted its poison budget (or sent a
-  /// stream the resync scan could not rescue).
-  void quarantine(Session* session);
+  /// SessionCore handler: decodes one request frame of either kind and
+  /// admits it; anything else is refused with a typed kError.
+  void on_frame(FrameSession& session, const Frame& frame);
   /// Shared admission for single- and multi-load traffic: one bounded
   /// queue, FIFO across both kinds, kShed in the request's own response
   /// type when full. Stamps admitted_at at the moment of queueing.
   void admit(Pending pending);
-  /// Brown-out path: answers `request` inline (cache hit or kDegraded)
+  /// Brown-out path: answers `pending` inline (cache hit or kDegraded)
   /// when the queue is above the watermark. Returns false when the
   /// request should proceed to normal admission.
-  bool try_brownout(const ScheduleRequest& request, Session* session);
-  /// Multi-load brown-out: schedules are never cached (the answer
-  /// depends on the full load mix), so above the watermark every
-  /// multi-load request gets the typed kDegraded refusal.
-  bool try_brownout_multi(const MultiScheduleRequest& request,
-                          Session* session);
+  bool try_brownout(const Pending& pending);
   void dispatch_loop();
   void process_batch(std::vector<Pending>& batch);
 
@@ -221,7 +215,7 @@ class SchedulerService {
   /// (validation failures, cache hits wanting payments, leftovers of
   /// undersized groups) to `singles` for the classic handle() path.
   void classify_window(const std::vector<Pending>& batch,
-                       std::vector<ScheduleResponse>& responses,
+                       std::vector<Reply>& replies,
                        std::vector<SingleTask>& singles,
                        std::vector<MissGroup>& groups);
   /// Solves one miss group on the pool; fills member and alias
@@ -230,7 +224,7 @@ class SchedulerService {
                          const std::vector<Pending>& batch);
   void solve_group(const MissGroup& group, DispatchScratch& scratch,
                    const std::vector<Pending>& batch,
-                   std::vector<ScheduleResponse>& responses);
+                   std::vector<Reply>& replies);
   /// Solves (or refuses) one admitted request; pure apart from cache
   /// and metric updates, so batch items run concurrently on the pool.
   /// `prefetched` carries classification's cache-lookup result when one
@@ -241,11 +235,14 @@ class SchedulerService {
   /// multiload::MultiLoadSolver; expired requests are answered without
   /// scheduling a single installment.
   MultiScheduleResponse handle_multi(const Pending& pending);
-  void send_response(Session* session, const ScheduleResponse& response);
-  void send_multi_response(Session* session,
-                           const MultiScheduleResponse& response);
-  void count_response(const ScheduleResponse& response);
-  void count_multi_response(const MultiScheduleResponse& response);
+  /// The typed refusal both traffic kinds share (shed, degraded, stop
+  /// drain, batch failure, decode error, unexpected frame type): status
+  /// and text — plus the configured retry-after hint for kDegraded — in
+  /// the response type of the request's kind.
+  Reply refusal(bool multi, std::uint64_t request_id, ScheduleStatus status,
+                std::string error = {}) const;
+  /// Counts `reply` by status and writes it to `session` as one frame.
+  void respond(FrameSession& session, const Reply& reply);
 
   ServiceConfig config_;
   exec::ThreadPool* pool_;
@@ -257,10 +254,6 @@ class SchedulerService {
   bool paused_ = false;
   bool stopping_ = false;
 
-  mutable std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
-  bool accepting_ = true;
-
   mutable std::mutex stats_mutex_;
   ServiceStats stats_;
 
@@ -269,6 +262,9 @@ class SchedulerService {
   std::vector<std::unique_ptr<DispatchScratch>> dispatch_scratch_;
 
   std::thread dispatcher_;
+  /// Built from config_; stop() joins its readers, which call back into
+  /// everything above, before any of it is torn down.
+  SessionCore sessions_;
 };
 
 }  // namespace dls::serve

@@ -1,22 +1,31 @@
 // Unit coverage for the chaos-hardening layer: ChaosTransport fault
 // manifestation and determinism, seeded fuzz of the frame decoder under
 // corruption (nothing may escape the typed DecodeError/TransportError
-// surface), the RetryPolicy backoff schedules and the circuit breaker
-// state machine.
+// surface), the poison budget and quarantine of the session core both
+// serve tiers run on, the RetryPolicy backoff schedules and the circuit
+// breaker state machine.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "codec/bytes.hpp"
 #include "common/rng.hpp"
+#include "dlt/linear.hpp"
+#include "net/networks.hpp"
+#include "obs/obs.hpp"
 #include "protocol/recovery.hpp"
 #include "serve/chaos.hpp"
 #include "serve/frame.hpp"
 #include "serve/pipe.hpp"
 #include "serve/retry.hpp"
+#include "serve/router.hpp"
+#include "serve/service.hpp"
+#include "serve/service_wire.hpp"
 
 namespace {
 
@@ -35,7 +44,15 @@ using dls::serve::FrameTruncationError;
 using dls::serve::FrameType;
 using dls::serve::make_pipe;
 using dls::serve::Pipe;
+using dls::serve::PipeEnd;
 using dls::serve::RetryPolicy;
+using dls::serve::RouterConfig;
+using dls::serve::ScheduleRequest;
+using dls::serve::ScheduleResponse;
+using dls::serve::ScheduleStatus;
+using dls::serve::SchedulerService;
+using dls::serve::ServiceConfig;
+using dls::serve::ShardRouter;
 using dls::serve::TransportError;
 
 Bytes bytes_of(std::initializer_list<int> values) {
@@ -253,6 +270,138 @@ TEST(ChaosFuzzTest, StreamReadNeverEscapesTypedErrors) {
       }
     }
   }
+}
+
+// ---- Poison budget and quarantine, one body for both serve tiers -----
+
+constexpr std::size_t kPoisonBudget = 3;
+
+/// A framed server under test, seen through what the body asserts on.
+struct Tier {
+  std::function<PipeEnd()> connect;
+  std::function<std::uint64_t()> poison_frames;
+  std::function<std::uint64_t()> quarantined;
+  /// Typed kError refusals the tier has counted.
+  std::function<std::uint64_t()> refused;
+  /// Frame types the tier must refuse with a typed kError.
+  std::vector<FrameType> unexpected;
+};
+
+ScheduleRequest probe_request() {
+  ScheduleRequest request;
+  request.request_id = 41;
+  request.w = {1.0, 1.2, 0.9, 1.1};
+  request.z = {0.15, 0.1, 0.2};
+  return request;
+}
+
+Frame request_frame(const ScheduleRequest& request) {
+  return Frame{FrameType::kScheduleRequest,
+               dls::serve::encode_schedule_request(request)};
+}
+
+/// The request frame with one payload bit flipped: it arrives whole and
+/// frame-aligned, but fails its checksum.
+Bytes checksum_corrupted(const ScheduleRequest& request) {
+  Bytes wire = dls::serve::encode_frame(request_frame(request));
+  wire[dls::serve::kFrameHeaderSize + 9] ^= 0x10;
+  return wire;
+}
+
+/// The response payload a clean solve of `request` must produce.
+Bytes direct_answer(const ScheduleRequest& request) {
+  const dls::net::LinearNetwork network(request.w, request.z);
+  dls::dlt::LinearSolution direct;
+  dls::dlt::solve_linear_boundary_into(network, direct, /*want_steps=*/false);
+  ScheduleResponse response;
+  response.request_id = request.request_id;
+  response.status = ScheduleStatus::kOk;
+  response.alpha = direct.alpha;
+  response.makespan = direct.makespan;
+  return dls::serve::encode_schedule_response(response);
+}
+
+[[maybe_unused]] std::uint64_t counter(const std::string& name) {
+  const auto snapshot = dls::obs::MetricsRegistry::global().snapshot();
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+void expect_poison_budget_and_quarantine(const Tier& tier) {
+  dls::obs::MetricsRegistry::global().reset();
+  dls::obs::set_active(true);
+  const ScheduleRequest request = probe_request();
+  {
+    PipeEnd end = tier.connect();
+    for (std::size_t i = 0; i < kPoisonBudget; ++i) {
+      end.write(checksum_corrupted(request));
+    }
+    // Within budget: the connection survives and answers exactly as a
+    // clean solve would.
+    dls::serve::write_frame(end, request_frame(request));
+    const std::optional<Frame> answer = dls::serve::read_frame(end);
+    ASSERT_TRUE(answer.has_value()) << "quarantined within budget";
+    EXPECT_EQ(answer->type, FrameType::kScheduleResponse);
+    EXPECT_EQ(answer->payload, direct_answer(request));
+
+    // One past the budget: quarantined, the client reads EOF.
+    end.write(checksum_corrupted(request));
+    EXPECT_FALSE(dls::serve::read_frame(end).has_value());
+  }
+  EXPECT_EQ(tier.poison_frames(), kPoisonBudget + 1);
+  EXPECT_EQ(tier.quarantined(), 1u);
+#if DLS_OBS_LEVEL >= 1
+  // The metric family is shared by both tiers and agrees with the stats.
+  EXPECT_EQ(counter("serve.fault.poison_frames"), kPoisonBudget + 1);
+  EXPECT_EQ(counter("serve.fault.checksum_mismatches"), kPoisonBudget + 1);
+  EXPECT_EQ(counter("serve.quarantined"), 1u);
+#endif
+  dls::obs::set_active(false);
+
+  PipeEnd end = tier.connect();
+  for (const FrameType type : tier.unexpected) {
+    const std::uint64_t before = tier.refused();
+    dls::serve::write_frame(end, Frame{type, Bytes{1, 2, 3}});
+    const std::optional<Frame> refusal = dls::serve::read_frame(end);
+    ASSERT_TRUE(refusal.has_value()) << to_string(type);
+    ASSERT_EQ(refusal->type, FrameType::kScheduleResponse);
+    const ScheduleResponse response =
+        dls::serve::decode_schedule_response(refusal->payload);
+    EXPECT_EQ(response.status, ScheduleStatus::kError) << to_string(type);
+    EXPECT_NE(response.error.find("unexpected frame type"), std::string::npos);
+    EXPECT_EQ(tier.refused(), before + 1) << to_string(type);
+  }
+}
+
+TEST(SessionCoreTest, ServicePoisonBudgetAndQuarantine) {
+  ServiceConfig config;
+  config.poison_budget = kPoisonBudget;
+  SchedulerService service(config);
+  expect_poison_budget_and_quarantine(Tier{
+      [&] { return service.connect(); },
+      [&] { return service.stats().poison_frames; },
+      [&] { return service.stats().quarantined; },
+      [&] { return service.stats().errors; },
+      {FrameType::kBid, FrameType::kScheduleResponse}});
+}
+
+TEST(SessionCoreTest, RouterPoisonBudgetAndQuarantine) {
+  SchedulerService shard(ServiceConfig{});
+  RouterConfig config;
+  config.shard_count = 1;
+  config.connect = [&](std::size_t) {
+    return std::make_unique<PipeEnd>(shard.connect());
+  };
+  config.local = {&shard};
+  config.probe_dead_shards = false;
+  config.poison_budget = kPoisonBudget;
+  ShardRouter router(config);
+  expect_poison_budget_and_quarantine(Tier{
+      [&] { return router.connect(); },
+      [&] { return router.stats().poison_frames; },
+      [&] { return router.stats().quarantined; },
+      [&] { return router.stats().refused; },
+      {FrameType::kBid, FrameType::kMultiScheduleRequest}});
 }
 
 TEST(RetryPolicyTest, DeterministicLadderMatchesSharedBackoffCore) {
