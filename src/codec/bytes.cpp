@@ -141,6 +141,13 @@ Bytes Reader::bytes() {
   return out;
 }
 
+void Reader::raw(std::span<std::uint8_t> out) {
+  if (out.empty()) return;  // see f64_array: data() may be null
+  need(out.size());
+  std::memcpy(out.data(), data_.data() + pos_, out.size());
+  pos_ += out.size();
+}
+
 void Reader::expect_done() const {
   if (!done()) {
     throw DecodeError("trailing bytes after message: " +

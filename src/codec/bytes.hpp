@@ -70,6 +70,9 @@ class Reader {
   void f64_array(std::span<double> out);
   std::string string();
   Bytes bytes();
+  /// Raw bytes with no length prefix: fills `out` (the caller knows the
+  /// framing), equivalent to one u8() per byte.
+  void raw(std::span<std::uint8_t> out);
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
   bool done() const noexcept { return pos_ == data_.size(); }

@@ -170,6 +170,20 @@ const DlsLblResult& assess_compliant_from_batch(
   return ws.result;
 }
 
+DlsLblResult assess_compliant_from_solution(
+    const net::LinearNetwork& bid_network, const dlt::LinearSolution& solution,
+    std::span<const double> actual_rates, const MechanismConfig& config) {
+  const std::size_t n = bid_network.size();
+  DLS_REQUIRE(solution.alpha.size() == n && solution.alpha_hat.size() == n &&
+                  solution.equivalent_w.size() == n,
+              "solution does not match the bid network's chain length");
+  DlsLblResult result;
+  result.solution = solution;
+  fill_assessments(bid_network, actual_rates, /*computed_loads=*/{}, config,
+                   /*solution_found=*/true, result);
+  return result;
+}
+
 double utility_under_bid(const net::LinearNetwork& true_network,
                          std::size_t index, double bid, double actual_rate,
                          const MechanismConfig& config) {

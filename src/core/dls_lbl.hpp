@@ -91,6 +91,17 @@ const DlsLblResult& assess_compliant_from_batch(
     std::size_t lane, std::span<const double> actual_rates,
     const MechanismConfig& config, AssessWorkspace& ws);
 
+/// Compliant assessment on an allocation the caller already holds:
+/// `solution` must be Algorithm 1 on `bid_network` (a fresh or cached
+/// solve_linear_boundary_into result). Payments are bit-identical to
+/// assess_compliant on the same network, without running Algorithm 1 a
+/// second time; the result's solution is a copy of `solution`. This is
+/// the serve dispatcher's payment path for per-request solves and cache
+/// hits.
+DlsLblResult assess_compliant_from_solution(
+    const net::LinearNetwork& bid_network, const dlt::LinearSolution& solution,
+    std::span<const double> actual_rates, const MechanismConfig& config);
+
 /// Counterfactual utility for strategyproofness sweeps: in the network of
 /// *true* rates `true_network`, processor `index` (>= 1) bids `bid` and
 /// executes at `actual_rate` (>= its true rate) while everyone else is

@@ -154,7 +154,7 @@ Frame decode_frame(std::span<const std::uint8_t> data) {
   Frame frame;
   frame.type = header.type;
   frame.payload.resize(header.length);
-  for (auto& byte : frame.payload) byte = r.u8();
+  r.raw(frame.payload);
   r.expect_done();
   verify_checksum(frame, header.checksum);
   return frame;

@@ -20,17 +20,6 @@ Clock::duration seconds_of(double s) {
       std::chrono::duration<double>(s));
 }
 
-/// Digest of a response with the per-hop fields zeroed, so two shards
-/// that solved the same instance identically compare equal even though
-/// they answered different request ids or cache states.
-std::uint64_t normalized_digest(const ScheduleResponse& response) {
-  ScheduleResponse normal = response;
-  normal.request_id = 0;
-  normal.cache_hit = false;
-  const codec::Bytes bytes = encode_schedule_response(normal);
-  return shard_hash(bytes);
-}
-
 }  // namespace
 
 ShardRouter::ShardRouter(RouterConfig config)
@@ -279,15 +268,10 @@ void ShardRouter::store_verbatim(std::span<const std::uint8_t> payload,
 void ShardRouter::handle_request(Session* session,
                                  const ScheduleRequest& request,
                                  std::span<const std::uint8_t> payload) {
-  // Malformed instances hash over the full request encoding instead:
-  // they still deserve a deterministic owner, whose solver will answer
-  // with the canonical kError text.
-  codec::Bytes key;
-  try {
-    key = canonical_topology_key(request.w, request.z);
-  } catch (const dls::Error&) {
-    key = encode_schedule_request(request);
-  }
+  // Malformed instances key like any other, so they still get a
+  // deterministic owner, whose solver answers with the canonical kError
+  // text.
+  const codec::Bytes key = canonical_topology_key(request.w, request.z);
   std::vector<std::size_t> owners;
   {
     std::lock_guard<std::mutex> lock(health_mutex_);
@@ -340,16 +324,26 @@ void ShardRouter::handle_request(Session* session,
       return;
     }
   }
+  // Forwards patch the per-link id in at the canonical offset. A client
+  // payload that decoded but encodes its magic non-canonically (an
+  // overlong length varint) puts the id elsewhere, so it is re-encoded
+  // once instead.
+  codec::Bytes canonical;
+  if (!has_canonical_request_id(payload)) {
+    canonical = encode_schedule_request(request);
+    payload = canonical;
+  }
   std::vector<ForwardResult> results;
   results.reserve(owners.size());
   for (const std::size_t shard : owners) {
-    results.push_back(forward(session, shard, request));
+    results.push_back(forward(session, shard, payload));
   }
-  send_response(session, merge(request, results));
+  merge(session, request.request_id, results);
 }
 
 ShardRouter::ForwardResult ShardRouter::forward(
-    Session* session, std::size_t shard, const ScheduleRequest& request) {
+    Session* session, std::size_t shard,
+    std::span<const std::uint8_t> payload) {
   ForwardResult result;
   Transport* link = session->backends[shard].get();
   if (link == nullptr || !link->valid()) {
@@ -364,29 +358,32 @@ ShardRouter::ForwardResult ShardRouter::forward(
       return result;
     }
   }
-  ScheduleRequest copy = request;
-  copy.request_id = session->backend_next_id[shard]++;
+  const std::uint64_t link_id = session->backend_next_id[shard]++;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.forwarded;
   }
   DLS_COUNT("serve.shard.forwarded");
   try {
+    // The client's payload already decoded and validated; only the
+    // per-link id differs, so patch it rather than re-encode.
     Frame frame;
     frame.type = FrameType::kScheduleRequest;
-    frame.payload = encode_schedule_request(copy);
+    frame.payload.assign(payload.begin(), payload.end());
+    patch_schedule_request_id(frame.payload, link_id);
     write_frame(*link, frame);
     // Bounded skip of stale responses (a chaos-duplicated frame from an
     // earlier round trip on this link).
     for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::optional<Frame> reply =
+      std::optional<Frame> reply =
           read_frame(*link, config_.forward_timeout_s);
       if (!reply) break;  // shard hung up
       if (reply->type != FrameType::kScheduleResponse) continue;
       ScheduleResponse response = decode_schedule_response(reply->payload);
-      if (response.request_id != copy.request_id) continue;  // stale
+      if (response.request_id != link_id) continue;  // stale
       result.delivered = true;
       result.response = std::move(response);
+      result.payload = std::move(reply->payload);
       note_forward_success(shard);
       return result;
     }
@@ -401,20 +398,19 @@ ShardRouter::ForwardResult ShardRouter::forward(
   return result;
 }
 
-ScheduleResponse ShardRouter::merge(const ScheduleRequest& request,
-                                    const std::vector<ForwardResult>& results) {
-  std::vector<const ScheduleResponse*> ok;
-  for (const ForwardResult& result : results) {
+void ShardRouter::merge(Session* session, std::uint64_t request_id,
+                        std::vector<ForwardResult>& results) {
+  std::vector<ForwardResult*> ok;
+  for (ForwardResult& result : results) {
     if (result.delivered && result.response.status == ScheduleStatus::kOk) {
-      ok.push_back(&result.response);
+      ok.push_back(&result);
     }
   }
   if (!ok.empty()) {
     if (ok.size() >= 2) {
-      const std::uint64_t first = normalized_digest(*ok[0]);
       bool diverged = false;
       for (std::size_t i = 1; i < ok.size(); ++i) {
-        if (normalized_digest(*ok[i]) != first) {
+        if (!same_schedule_answer(ok[0]->payload, ok[i]->payload)) {
           diverged = true;
           break;
         }
@@ -435,20 +431,31 @@ ScheduleResponse ShardRouter::merge(const ScheduleRequest& request,
         // contract auditors.
         DLS_COUNT("serve.quorum.divergence");
         ScheduleResponse incident;
-        incident.request_id = request.request_id;
+        incident.request_id = request_id;
         incident.status = ScheduleStatus::kError;
         incident.error = "quorum divergence: " + std::to_string(ok.size()) +
                          " replicas returned non-identical solutions";
-        return incident;
+        send_response(session, incident);
+        return;
       }
       DLS_COUNT("serve.quorum.agreed");
     } else {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.quorum_single;
     }
-    ScheduleResponse chosen = *ok[0];
-    chosen.request_id = request.request_id;
-    return chosen;
+    // Relay the first replica's own bytes under the client's id. A
+    // lone kOk reply that encodes its magic non-canonically has no id
+    // at the patch offset (two or more such replies diverge above), so
+    // it is re-encoded from its decoded form instead.
+    ForwardResult& chosen = *ok[0];
+    if (!has_canonical_response_id(chosen.payload)) {
+      chosen.response.request_id = request_id;
+      send_response(session, chosen.response);
+      return;
+    }
+    patch_schedule_response_id(chosen.payload, request_id);
+    write_response(session, /*ok=*/true, std::move(chosen.payload));
+    return;
   }
   // No solution landed: merge the backpressure. The largest retry-after
   // hint wins so the client backs off for the slowest replica.
@@ -481,25 +488,29 @@ ScheduleResponse ShardRouter::merge(const ScheduleRequest& request,
     merged.retry_after_us = config_.degraded_retry_after_us;
     DLS_COUNT("serve.shard.unreachable");
   }
-  merged.request_id = request.request_id;
-  return merged;
+  merged.request_id = request_id;
+  send_response(session, merged);
 }
 
 void ShardRouter::send_response(Session* session,
                                 const ScheduleResponse& response) {
+  write_response(session, response.status == ScheduleStatus::kOk,
+                 encode_schedule_response(response));
+}
+
+void ShardRouter::write_response(Session* session, bool ok,
+                                 codec::Bytes payload) {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (response.status == ScheduleStatus::kOk) {
+    if (ok) {
       ++stats_.answered_ok;
     } else {
       ++stats_.refused;
     }
   }
   try {
-    Frame frame;
-    frame.type = FrameType::kScheduleResponse;
-    frame.payload = encode_schedule_response(response);
-    write_frame(*session->end, frame);
+    write_frame(*session->end,
+                Frame{FrameType::kScheduleResponse, std::move(payload)});
   } catch (const TransportError&) {
     // The client hung up before its answer landed; nothing to do.
   }

@@ -16,12 +16,12 @@
 //    primary owner's colocated service (RouterConfig::local) answers
 //    payment-free cache hits inline, no wire; the replay byte-cache
 //    answers repeats without decoding at all.
-//  * Replication: the request goes to every owner; kOk answers are
-//    normalised (id and cache-hit flag zeroed) and byte-compared.
-//    Divergence is a typed incident — the client gets a kError
-//    refusal, never a divergent answer. With no kOk, the most
-//    actionable refusal wins: kDegraded with the largest retry-after,
-//    else kShed, else the first kError.
+//  * Replication: the client's payload goes to every owner, id patched;
+//    kOk answers are byte-compared bar the id and cache-hit fields and
+//    the first one's bytes are relayed under the client's id. Divergence
+//    is a typed incident — the client gets a kError refusal, never a
+//    divergent answer. With no kOk, the most actionable refusal wins:
+//    kDegraded with the largest retry-after, else kShed, else kError.
 //  * Shard death: forward failures count against the reused
 //    protocol::HeartbeatConfig retry budget; exhausting it marks the
 //    shard dead (a consistent-hash rebalance — only that arc moves). A
@@ -177,12 +177,14 @@ class ShardRouter {
   struct ForwardResult {
     bool delivered = false;  ///< a decoded response came back
     ScheduleResponse response;
+    codec::Bytes payload;  ///< the reply's raw payload, as the shard sent it
   };
 
   /// SessionCore handler: replays, decodes and routes one client frame;
   /// anything but a schedule request is refused with a typed kError.
   void on_frame(Session* session, const Frame& frame);
-  /// `payload` is the raw encoded request (for the replay byte-cache).
+  /// `payload` is the raw encoded request (for the replay byte-cache
+  /// and forwarding).
   void handle_request(Session* session, const ScheduleRequest& request,
                       std::span<const std::uint8_t> payload);
   /// Answers a request frame from the replay byte-cache when an
@@ -198,16 +200,21 @@ class ShardRouter {
   /// Tier-1 insert alone (replay promotion). Caller holds no locks.
   void store_verbatim(std::span<const std::uint8_t> payload,
                       const codec::Bytes& wire);
-  /// Sends `request` to `shard` on the session's backend link and
-  /// blocks for the reply. A wire/decode failure drops the link (next
-  /// request reconnects) and counts against the shard's retry budget.
+  /// Sends the validated request `payload` to `shard` under the link's
+  /// next id and blocks for the reply. A wire/decode failure drops the
+  /// link (next request reconnects) and counts against the shard's
+  /// retry budget.
   ForwardResult forward(Session* session, std::size_t shard,
-                        const ScheduleRequest& request);
-  /// Merges the owners' replies per the quorum/backpressure policy.
-  ScheduleResponse merge(const ScheduleRequest& request,
-                         const std::vector<ForwardResult>& results);
-  /// Counts `response` as answered_ok or refused and writes it.
+                        std::span<const std::uint8_t> payload);
+  /// Merges the owners' replies per the quorum/backpressure policy and
+  /// answers the client: agreeing kOk replies relay the first one's
+  /// payload under `request_id`, anything else a typed refusal.
+  void merge(Session* session, std::uint64_t request_id,
+             std::vector<ForwardResult>& results);
+  /// Encodes `response` and hands it to write_response.
   void send_response(Session* session, const ScheduleResponse& response);
+  /// Counts a response payload as answered_ok or refused and writes it.
+  void write_response(Session* session, bool ok, codec::Bytes payload);
 
   void note_forward_failure(std::size_t shard);
   void note_forward_success(std::size_t shard);

@@ -61,13 +61,10 @@ bool SchedulerService::try_serve_inline(const ScheduleRequest& request,
   double deadline_us = request.options.deadline_us;
   if (deadline_us <= 0.0) deadline_us = config_.default_deadline_us;
   if (deadline_us > 0.0) return false;
-  codec::Bytes key;
-  try {
-    key = canonical_topology_key(request.w, request.z);
-  } catch (const dls::Error&) {
-    return false;  // malformed instance: the framed path owns kError
-  }
-  const SolveCache::Value solution = cache_.lookup(key);
+  // A malformed instance is never cached, so it misses here and the
+  // framed path produces its kError.
+  const SolveCache::Value solution =
+      cache_.lookup(canonical_topology_key(request.w, request.z));
   if (!solution) return false;
   response = ScheduleResponse{};
   response.request_id = request.request_id;
@@ -277,11 +274,11 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
       if (t < group_count) {
         solve_group(groups[t], *dispatch_scratch_[t], batch, replies);
       } else {
-        const SingleTask& task = singles[t - group_count];
+        SingleTask& task = singles[t - group_count];
         if (batch[task.index].multi) {
           replies[task.index] = handle_multi(batch[task.index]);
         } else {
-          replies[task.index] = handle(batch[task.index], &task);
+          replies[task.index] = handle(batch[task.index], task);
         }
       }
     });
@@ -329,10 +326,8 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
   if (config_.batch_min_lanes == 0) {
     // Dispatch-window batching disabled: everything takes the classic
     // per-request path, untouched.
-    singles.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      singles.push_back(SingleTask{i, /*looked_up=*/false, nullptr});
-    }
+    singles.resize(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) singles[i].index = i;
     return;
   }
   const auto now = std::chrono::steady_clock::now();
@@ -341,7 +336,7 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
       // Multi-load requests always take the per-request path: the
       // answer depends on the whole load mix, so there is nothing to
       // look up or coalesce with batchmates.
-      singles.push_back(SingleTask{i, /*looked_up=*/false, nullptr});
+      singles.push_back(SingleTask{i});
       continue;
     }
     const ScheduleRequest& request = batch[i].request;
@@ -360,21 +355,22 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
 
     // Validate exactly as handle() would; invalid instances go to the
     // single path so their kError response is produced by the same code.
+    std::optional<net::LinearNetwork> network;
     try {
-      [[maybe_unused]] const net::LinearNetwork probe(request.w, request.z);
+      network.emplace(request.w, request.z);
     } catch (const dls::Error&) {
-      singles.push_back(SingleTask{i, /*looked_up=*/false, nullptr});
+      singles.push_back(SingleTask{i});
       continue;
     }
 
-    const codec::Bytes key = canonical_topology_key(request.w, request.z);
+    codec::Bytes key = canonical_topology_key(request.w, request.z);
     if (SolveCache::Value solution = cache_.lookup(key)) {
       if (request.options.want_payments) {
-        // Payments rerun the mechanism even on a solution hit; keep
-        // that on the classic path (handing over the hit so the cache
-        // is not consulted twice).
-        singles.push_back(
-            SingleTask{i, /*looked_up=*/true, std::move(solution)});
+        // Payments need the mechanism run even on a solution hit; keep
+        // that on the classic path (handing over the hit, network and
+        // key so none of them is built or consulted twice).
+        singles.push_back(SingleTask{i, std::move(network), std::move(key),
+                                     std::move(solution)});
         continue;
       }
       response.status = ScheduleStatus::kOk;
@@ -412,7 +408,8 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
       if (aliased) continue;
     }
     group->members.push_back(i);
-    group->keys.push_back(key);
+    group->keys.push_back(std::move(key));
+    group->networks.push_back(std::move(*network));
   }
 
   // Undersized groups don't amortise the batch machinery; hand their
@@ -421,9 +418,12 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
   for (auto it = groups.begin(); it != groups.end();) {
     if (it->members.size() < config_.batch_min_lanes &&
         it->aliases.empty()) {
-      for (const std::size_t i : it->members) {
-        // Classification already looked these up (known misses).
-        singles.push_back(SingleTask{i, /*looked_up=*/true, nullptr});
+      for (std::size_t lane = 0; lane < it->members.size(); ++lane) {
+        // Classification already validated, keyed and looked these up
+        // (known misses).
+        singles.push_back(SingleTask{it->members[lane],
+                                     std::move(it->networks[lane]),
+                                     std::move(it->keys[lane]), nullptr});
       }
       it = groups.erase(it);
     } else {
@@ -500,7 +500,7 @@ void SchedulerService::solve_group(const MissGroup& group,
     response.makespan = solutions[lane]->makespan;
     if (request.options.want_payments) {
       try {
-        const net::LinearNetwork network(request.w, request.z);
+        const net::LinearNetwork& network = group.networks[lane];
         const core::DlsLblResult& assessment = core::assess_compliant_from_batch(
             network, scratch.solver, lane, network.processing_times(),
             config_.mechanism, scratch.assess);
@@ -528,7 +528,7 @@ void SchedulerService::solve_group(const MissGroup& group,
 }
 
 ScheduleResponse SchedulerService::handle(const Pending& pending,
-                                          const SingleTask* prefetched) {
+                                          SingleTask& task) {
   DLS_SPAN("serve.handle");
   const ScheduleRequest& request = pending.request;
   ScheduleResponse response;
@@ -544,24 +544,30 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
   }
 
   try {
-    const net::LinearNetwork network(request.w, request.z);
-    const codec::Bytes key = canonical_topology_key(request.w, request.z);
-    SolveCache::Value solution = prefetched != nullptr && prefetched->looked_up
-                                     ? prefetched->solution
-                                     : cache_.lookup(key);
+    SolveCache::Value solution = task.solution;
+    if (!task.network) {
+      task.network.emplace(request.w, request.z);
+      task.key = canonical_topology_key(request.w, request.z);
+      solution = cache_.lookup(task.key);
+    }
+    const net::LinearNetwork& network = *task.network;
     response.cache_hit = solution != nullptr;
     if (!solution) {
       auto solved = std::make_shared<dlt::LinearSolution>();
       dlt::solve_linear_boundary_into(network, *solved,
                                       /*want_steps=*/false);
       solution = std::move(solved);
-      cache_.insert(key, solution);
+      cache_.insert(task.key, solution);
     }
     response.alpha = solution->alpha;
     response.makespan = solution->makespan;
     if (request.options.want_payments) {
-      const core::DlsLblResult assessment = core::assess_compliant(
-          network, network.processing_times(), config_.mechanism);
+      // Payments come from the very allocation just answered: one
+      // Algorithm 1 run per paid request, none on a cache hit.
+      const core::DlsLblResult assessment =
+          core::assess_compliant_from_solution(network, *solution,
+                                               network.processing_times(),
+                                               config_.mechanism);
       response.payments.reserve(assessment.processors.size());
       for (const core::Assessment& a : assessment.processors) {
         response.payments.push_back(a.money.payment);

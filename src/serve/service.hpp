@@ -42,6 +42,7 @@
 
 #include "core/dls_lbl.hpp"
 #include "exec/thread_pool.hpp"
+#include "net/networks.hpp"
 #include "serve/cache.hpp"
 #include "serve/multiload_wire.hpp"
 #include "serve/pipe.hpp"
@@ -191,6 +192,7 @@ class SchedulerService {
     std::size_t chain = 0;  ///< processors per instance
     std::vector<std::size_t> members;
     std::vector<codec::Bytes> keys;  ///< cache key per lane
+    std::vector<net::LinearNetwork> networks;  ///< validated, per lane
     std::vector<std::pair<std::size_t, std::size_t>> aliases;
   };
   /// Per-group reusable solver + assessment buffers, owned by the
@@ -201,11 +203,13 @@ class SchedulerService {
   };
 
   /// A request routed to the per-request path. When classification
-  /// already consulted the cache, its result rides along so handle()
-  /// does not look up (and count) a second time.
+  /// already validated the instance (`network` set), its cache key and
+  /// lookup result ride along so handle() neither rebuilds them nor
+  /// looks up (and counts) a second time.
   struct SingleTask {
     std::size_t index = 0;
-    bool looked_up = false;
+    std::optional<net::LinearNetwork> network;
+    codec::Bytes key;
     SolveCache::Value solution;  ///< null = known miss
   };
 
@@ -227,10 +231,10 @@ class SchedulerService {
                    std::vector<Reply>& replies);
   /// Solves (or refuses) one admitted request; pure apart from cache
   /// and metric updates, so batch items run concurrently on the pool.
-  /// `prefetched` carries classification's cache-lookup result when one
-  /// was made (so every request is looked up exactly once).
-  ScheduleResponse handle(const Pending& pending,
-                          const SingleTask* prefetched = nullptr);
+  /// Builds the network and key into `task` unless classification
+  /// already did, so every request is validated, keyed and looked up
+  /// exactly once; payments reuse the one solution, cached or fresh.
+  ScheduleResponse handle(const Pending& pending, SingleTask& task);
   /// Solves (or refuses) one admitted multi-load request via
   /// multiload::MultiLoadSolver; expired requests are answered without
   /// scheduling a single installment.

@@ -1,5 +1,7 @@
 #include "serve/service_wire.hpp"
 
+#include <cstring>
+
 namespace dls::serve {
 
 namespace {
@@ -148,27 +150,57 @@ codec::Bytes canonical_topology_key(std::span<const double> w,
 
 namespace {
 
-/// Size of a magic string's encoding — the request_id field starts
-/// right after it in both payload layouts.
-std::size_t encoded_magic_size(std::string_view magic) {
+/// The canonical encoding of a magic string — the request_id field
+/// starts right after it in both payload layouts.
+codec::Bytes encoded_magic(std::string_view magic) {
   codec::Writer writer;
   writer.string(magic);
-  return writer.take().size();
+  return writer.take();
+}
+
+const codec::Bytes& request_magic() {
+  static const codec::Bytes bytes = encoded_magic(kRequestMagic);
+  return bytes;
+}
+
+const codec::Bytes& response_magic() {
+  static const codec::Bytes bytes = encoded_magic(kResponseMagic);
+  return bytes;
+}
+
+/// True when `payload` carries a request_id right after the canonical
+/// `magic` encoding — the layout every fixed-offset helper assumes.
+bool has_id_after(std::span<const std::uint8_t> payload,
+                  const codec::Bytes& magic) {
+  return payload.size() >= magic.size() + sizeof(std::uint64_t) &&
+         std::memcmp(payload.data(), magic.data(), magic.size()) == 0;
+}
+
+/// Writes `request_id` little-endian over the u64 after `magic`.
+void patch_id(codec::Bytes& payload, const codec::Bytes& magic,
+              std::uint64_t request_id, const char* what) {
+  if (!has_id_after(payload, magic)) {
+    throw codec::DecodeError(std::string(what) +
+                             " payload has no request id at the canonical "
+                             "offset to patch");
+  }
+  for (std::size_t i = 0; i < sizeof(std::uint64_t); ++i) {
+    payload[magic.size() + i] =
+        static_cast<std::uint8_t>((request_id >> (8 * i)) & 0xffu);
+  }
 }
 
 }  // namespace
 
 std::span<const std::uint8_t> schedule_request_replay_key(
     std::span<const std::uint8_t> payload) {
-  static const std::size_t offset =
-      encoded_magic_size(kRequestMagic) + sizeof(std::uint64_t);
-  if (payload.size() < offset) return {};
-  return payload.subspan(offset);
+  if (!has_id_after(payload, request_magic())) return {};
+  return payload.subspan(request_magic().size() + sizeof(std::uint64_t));
 }
 
 std::uint64_t schedule_request_id(std::span<const std::uint8_t> payload) {
-  static const std::size_t offset = encoded_magic_size(kRequestMagic);
-  if (payload.size() < offset + sizeof(std::uint64_t)) return 0;
+  if (!has_id_after(payload, request_magic())) return 0;
+  const std::size_t offset = request_magic().size();
   std::uint64_t id = 0;
   for (std::size_t i = 0; i < sizeof(std::uint64_t); ++i) {
     id |= static_cast<std::uint64_t>(payload[offset + i]) << (8 * i);
@@ -176,17 +208,36 @@ std::uint64_t schedule_request_id(std::span<const std::uint8_t> payload) {
   return id;
 }
 
+bool has_canonical_request_id(std::span<const std::uint8_t> payload) {
+  return has_id_after(payload, request_magic());
+}
+
+bool has_canonical_response_id(std::span<const std::uint8_t> payload) {
+  return has_id_after(payload, response_magic());
+}
+
+void patch_schedule_request_id(codec::Bytes& payload,
+                               std::uint64_t request_id) {
+  patch_id(payload, request_magic(), request_id, "request");
+}
+
 void patch_schedule_response_id(codec::Bytes& payload,
                                 std::uint64_t request_id) {
-  static const std::size_t offset = encoded_magic_size(kResponseMagic);
-  if (payload.size() < offset + sizeof(std::uint64_t)) {
-    throw codec::DecodeError(
-        "response payload too short to patch a request id");
+  patch_id(payload, response_magic(), request_id, "response");
+}
+
+bool same_schedule_answer(std::span<const std::uint8_t> a,
+                          std::span<const std::uint8_t> b) {
+  // Layout: magic, request_id (u64), status (u8), cache_hit (u8), rest.
+  const std::size_t id = response_magic().size();
+  const std::size_t status = id + sizeof(std::uint64_t);
+  const std::size_t rest = status + 2;
+  if (a.size() != b.size() || a.size() < rest ||
+      !has_canonical_response_id(a) || !has_canonical_response_id(b)) {
+    return false;
   }
-  for (std::size_t i = 0; i < sizeof(std::uint64_t); ++i) {
-    payload[offset + i] =
-        static_cast<std::uint8_t>((request_id >> (8 * i)) & 0xffu);
-  }
+  return a[status] == b[status] &&
+         std::memcmp(a.data() + rest, b.data() + rest, a.size() - rest) == 0;
 }
 
 }  // namespace dls::serve

@@ -80,24 +80,52 @@ ScheduleResponse decode_schedule_response(std::span<const std::uint8_t> data);
 codec::Bytes canonical_topology_key(std::span<const double> w,
                                     std::span<const double> z);
 
+// The helpers below address the request_id field at a fixed offset:
+// right after the CANONICAL encoding of the payload's magic string. The
+// codec's reader also accepts overlong varints, so a payload that
+// decodes may still put the id elsewhere; each helper checks the magic
+// bytes first and treats such a payload as carrying no id.
+
 /// Replay key for the ShardRouter's verbatim response cache: the bytes
 /// of an encoded request AFTER the request_id field. They cover the
 /// round tag, deadline, payments flag and the full (w, z) topology, so
 /// two requests with equal suffixes must receive byte-identical
 /// responses up to the echoed id. Returns an empty span when `payload`
-/// is too short to carry a request_id at all.
+/// carries no request_id at the canonical offset.
 std::span<const std::uint8_t> schedule_request_replay_key(
     std::span<const std::uint8_t> payload);
 
 /// Reads the request_id of an encoded request without decoding the
-/// rest; 0 when the payload is too short.
+/// rest; 0 when the payload carries no request_id at the canonical
+/// offset.
 std::uint64_t schedule_request_id(std::span<const std::uint8_t> payload);
+
+/// True when an encoded request / response starts with its canonical
+/// magic encoding followed by a request_id, so the patch helpers below
+/// apply to it.
+bool has_canonical_request_id(std::span<const std::uint8_t> payload);
+bool has_canonical_response_id(std::span<const std::uint8_t> payload);
+
+/// Overwrites the request_id field of an encoded request in place, the
+/// twin of patch_schedule_response_id: the router forwards a client's
+/// validated payload under its own per-link id without re-encoding it.
+/// Throws codec::DecodeError unless has_canonical_request_id(payload).
+void patch_schedule_request_id(codec::Bytes& payload,
+                               std::uint64_t request_id);
 
 /// Overwrites the request_id field of an encoded response in place —
 /// the id is a fixed-width u64 at a fixed offset, so a cached response
 /// encoding can be replayed for a new request. Throws
-/// codec::DecodeError when the payload is too short to patch.
+/// codec::DecodeError unless has_canonical_response_id(payload).
 void patch_schedule_response_id(codec::Bytes& payload,
                                 std::uint64_t request_id);
+
+/// The replicated quorum's compare: true when two encoded responses are
+/// byte-identical everywhere except the per-hop fields — the request_id
+/// and the cache-hit byte. Both payloads must already have decoded as
+/// responses; a non-canonical but equivalent encoding (the magic's
+/// included) compares unequal.
+bool same_schedule_answer(std::span<const std::uint8_t> a,
+                          std::span<const std::uint8_t> b);
 
 }  // namespace dls::serve

@@ -2,7 +2,10 @@
 // DLS-LBL assessment.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/dls_lbl.hpp"
 #include "core/payment_rules.hpp"
 #include "net/networks.hpp"
@@ -10,6 +13,7 @@
 namespace {
 
 using dls::core::assess_compliant;
+using dls::core::assess_compliant_from_solution;
 using dls::core::assess_dls_lbl;
 using dls::core::cheating_profit_bound;
 using dls::core::DlsLblResult;
@@ -181,6 +185,61 @@ TEST(AssessDlsLbl, RejectsBadInputs) {
   const LinearNetwork solo({1.0}, {});
   EXPECT_THROW(assess_dls_lbl(solo, std::vector<double>{1.0},
                               std::vector<double>{1.0}, MechanismConfig{}),
+               dls::PreconditionError);
+}
+
+TEST(AssessCompliantFromSolution, PaymentsEqualAssessCompliant) {
+  // Property: handing the assessment the allocation already solved (the
+  // serve path's cached or fresh solve) yields payments == to
+  // assess_compliant re-running Algorithm 1, at every chain size the
+  // service sees — truthful and slower-than-bid executions alike.
+  dls::common::Rng rng(20261017);
+  std::vector<std::size_t> sizes;
+  for (std::size_t m = 2; m <= 64; ++m) sizes.push_back(m);
+  sizes.push_back(256);
+  sizes.push_back(2048);
+  for (const std::size_t m : sizes) {
+    const LinearNetwork net =
+        LinearNetwork::random(m + 1, rng, 0.5, 4.0, 0.01, 0.5);
+    std::vector<double> slow(net.processing_times().begin(),
+                             net.processing_times().end());
+    for (std::size_t j = 1; j < slow.size(); ++j) {
+      slow[j] *= 1.0 + 0.5 * rng.uniform01();
+    }
+    dls::dlt::LinearSolution solution;
+    dls::dlt::solve_linear_boundary_into(net, solution, /*want_steps=*/false);
+    for (const std::vector<double>& actual :
+         {std::vector<double>(net.processing_times().begin(),
+                              net.processing_times().end()),
+          slow}) {
+      const DlsLblResult expected =
+          assess_compliant(net, actual, MechanismConfig{});
+      const DlsLblResult got = assess_compliant_from_solution(
+          net, solution, actual, MechanismConfig{});
+      ASSERT_EQ(got.processors.size(), expected.processors.size());
+      for (std::size_t j = 0; j < expected.processors.size(); ++j) {
+        EXPECT_EQ(got.processors[j].money.payment,
+                  expected.processors[j].money.payment)
+            << "m=" << m << " j=" << j;
+        EXPECT_EQ(got.processors[j].money.utility,
+                  expected.processors[j].money.utility)
+            << "m=" << m << " j=" << j;
+      }
+      EXPECT_EQ(got.total_payment, expected.total_payment) << "m=" << m;
+      EXPECT_EQ(got.mechanism_cost, expected.mechanism_cost) << "m=" << m;
+      EXPECT_EQ(got.solution.alpha, expected.solution.alpha) << "m=" << m;
+    }
+  }
+}
+
+TEST(AssessCompliantFromSolution, RejectsAMismatchedSolution) {
+  const LinearNetwork net({1.0, 2.0, 1.5}, {0.3, 0.2});
+  const LinearNetwork other({1.0, 2.0}, {0.3});
+  const dls::dlt::LinearSolution solution =
+      dls::dlt::solve_linear_boundary(other);
+  EXPECT_THROW(assess_compliant_from_solution(net, solution,
+                                              net.processing_times(),
+                                              MechanismConfig{}),
                dls::PreconditionError);
 }
 

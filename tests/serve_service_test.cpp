@@ -13,6 +13,7 @@
 #include "core/dls_lbl.hpp"
 #include "dlt/linear.hpp"
 #include "net/networks.hpp"
+#include "obs/obs.hpp"
 #include "serve/client.hpp"
 #include "serve/frame.hpp"
 #include "serve/service.hpp"
@@ -78,6 +79,52 @@ TEST(ServeServiceTest, PaymentsMatchComplianceAssessment) {
   }
   EXPECT_EQ(response.total_payment, direct.total_payment);
 }
+
+#if DLS_OBS_LEVEL >= 1
+std::uint64_t solver_solves() {
+  const auto snapshot = dls::obs::MetricsRegistry::global().snapshot();
+  const auto it = snapshot.counters.find("solver.solves");
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+TEST(ServeServiceTest, PaidRequestCostsOneSolveAndAHitNone) {
+  // Payments come from the allocation the service answers with: a cold
+  // paid request runs Algorithm 1 exactly once, the same request again
+  // (a cache hit) not at all, and both match assess_compliant exactly.
+  dls::obs::MetricsRegistry::global().reset();
+  dls::obs::set_active(true);
+  SchedulerService service(ServiceConfig{});
+  SchedulerClient client(service.connect());
+  ScheduleOptions options;
+  options.want_payments = true;
+
+  const std::uint64_t before_cold = solver_solves();
+  const ScheduleResponse cold = client.schedule(kW, kZ, options);
+  const std::uint64_t cold_solves = solver_solves() - before_cold;
+  const ScheduleResponse warm = client.schedule(kW, kZ, options);
+  const std::uint64_t warm_solves = solver_solves() - before_cold - cold_solves;
+  dls::obs::set_active(false);
+  dls::obs::MetricsRegistry::global().reset();
+
+  ASSERT_EQ(cold.status, ScheduleStatus::kOk);
+  ASSERT_EQ(warm.status, ScheduleStatus::kOk);
+  EXPECT_FALSE(cold.cache_hit);
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(cold_solves, 1u);
+  EXPECT_EQ(warm_solves, 0u);
+
+  const dls::net::LinearNetwork network(kW, kZ);
+  const dls::core::DlsLblResult direct = dls::core::assess_compliant(
+      network, network.processing_times(), dls::core::MechanismConfig{});
+  for (const ScheduleResponse* response : {&cold, &warm}) {
+    ASSERT_EQ(response->payments.size(), direct.processors.size());
+    for (std::size_t i = 0; i < direct.processors.size(); ++i) {
+      EXPECT_EQ(response->payments[i], direct.processors[i].money.payment);
+    }
+    EXPECT_EQ(response->total_payment, direct.total_payment);
+  }
+}
+#endif
 
 TEST(ServeServiceTest, QueuedRequestPastDeadlineExpires) {
   ServiceConfig config;

@@ -1,14 +1,17 @@
 // ShardMap + ShardRouter unit coverage: consistent-hash stability (a
 // death moves only the dead shard's arc), replication owner walks,
 // routed solves with warm inline hits, quorum divergence surfacing as
-// a typed incident, backpressure merging, and heartbeat-budget death
+// a typed incident, the byte-wise quorum compare with its id-patched
+// forward and relay, backpressure merging, and heartbeat-budget death
 // detection with monitor-probe revival.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "serve/pipe.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
+#include "serve/service_wire.hpp"
 #include "serve/shard.hpp"
 
 namespace {
@@ -187,17 +191,39 @@ TEST(ShardRouterTest, ReplicationCrossChecksAndAgrees) {
   client.close();
 }
 
+/// Re-encodes a payload's leading magic-string length as an overlong
+/// two-byte varint: the codec still decodes it, but every later field
+/// sits one byte further on than in the canonical encoding.
+Bytes with_overlong_magic(Bytes payload) {
+  payload[0] |= 0x80;
+  payload.insert(payload.begin() + 1, 0x00);
+  return payload;
+}
+
 /// A scripted shard: answers every schedule request with a fixed kOk
-/// solution (or any response the mutator builds), over a Pipe.
+/// solution (or any response the mutator builds), over a Pipe, and
+/// records the raw payloads it read and wrote. With `overlong_magic`
+/// its replies use with_overlong_magic.
 class FakeShard {
  public:
   using Responder = std::function<ScheduleResponse(const ScheduleRequest&)>;
 
-  explicit FakeShard(Responder responder)
-      : responder_(std::move(responder)) {}
+  explicit FakeShard(Responder responder, bool overlong_magic = false)
+      : responder_(std::move(responder)), overlong_magic_(overlong_magic) {}
   ~FakeShard() {
     for (auto& end : ends_) end->close();
     for (auto& thread : threads_) thread.join();
+  }
+
+  /// Request payloads read, in arrival order.
+  std::vector<Bytes> requests() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return requests_;
+  }
+  /// Response payloads written, in order.
+  std::vector<Bytes> replies() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return replies_;
   }
 
   std::unique_ptr<Transport> connect() {
@@ -222,6 +248,14 @@ class FakeShard {
         Frame reply;
         reply.type = FrameType::kScheduleResponse;
         reply.payload = dls::serve::encode_schedule_response(response);
+        if (overlong_magic_) {
+          reply.payload = with_overlong_magic(std::move(reply.payload));
+        }
+        {
+          std::lock_guard<std::mutex> lock(mutex_);
+          requests_.push_back(frame->payload);
+          replies_.push_back(reply.payload);
+        }
         dls::serve::write_frame(*end, reply);
       }
     } catch (const dls::Error&) {
@@ -230,9 +264,39 @@ class FakeShard {
   }
 
   Responder responder_;
+  bool overlong_magic_;
   std::vector<std::unique_ptr<PipeEnd>> ends_;
   std::vector<std::thread> threads_;
+  mutable std::mutex mutex_;
+  std::vector<Bytes> requests_;
+  std::vector<Bytes> replies_;
 };
+
+/// A router over scripted shards at R = shard count.
+RouterConfig fake_config(std::vector<std::unique_ptr<FakeShard>>* fakes) {
+  RouterConfig config;
+  config.shard_count = fakes->size();
+  config.replication = fakes->size();
+  config.probe_dead_shards = false;
+  config.connect = [fakes](std::size_t shard) {
+    return (*fakes)[shard]->connect();
+  };
+  return config;
+}
+
+/// Writes `payload` as one request frame and returns the raw reply
+/// payload.
+Bytes round_trip(PipeEnd& end, Bytes payload) {
+  dls::serve::write_frame(
+      end, Frame{FrameType::kScheduleRequest, std::move(payload)});
+  const auto reply = dls::serve::read_frame(end);
+  EXPECT_TRUE(reply.has_value());
+  return reply ? reply->payload : Bytes{};
+}
+
+Bytes round_trip(PipeEnd& end, const ScheduleRequest& request) {
+  return round_trip(end, dls::serve::encode_schedule_request(request));
+}
 
 ScheduleResponse ok_response(double makespan) {
   ScheduleResponse response;
@@ -273,6 +337,190 @@ TEST(ShardRouterTest, QuorumDivergenceIsATypedIncidentNeverAnAnswer) {
   EXPECT_EQ(stats.answered_ok, 0u);
   client.close();
   router.stop();
+}
+
+TEST(ShardRouterTest, QuorumIgnoresIdAndCacheHitRelaysReplicaBytes) {
+  // Replicas that differ only in the per-hop fields agree. The client
+  // gets the first owner's reply payload byte for byte under its own id,
+  // and every forwarded request is the client's payload with only the
+  // per-link id patched in.
+  std::vector<std::unique_ptr<FakeShard>> fakes;
+  for (const bool hit : {true, false}) {
+    fakes.push_back(std::make_unique<FakeShard>([hit](const ScheduleRequest&) {
+      ScheduleResponse response = ok_response(1.0);
+      response.cache_hit = hit;
+      response.payments = {0.6, 0.5};
+      response.total_payment = 0.5;
+      return response;
+    }));
+  }
+  ShardRouter router(fake_config(&fakes));
+  PipeEnd end = router.connect();
+  ScheduleRequest request;
+  request.w = {1.0, 1.0};
+  request.z = {0.1};
+  request.options.want_payments = true;
+
+  // Burn one link id on shard 0 alone so the replicas' answers also
+  // carry different request ids (2 on shard 0, 1 on shard 1).
+  router.set_alive(1, false);
+  request.request_id = 40;
+  round_trip(end, request);
+  router.set_alive(1, true);
+
+  request.request_id = 41;
+  const Bytes answer = round_trip(end, request);
+  const ScheduleResponse decoded =
+      dls::serve::decode_schedule_response(answer);
+  EXPECT_EQ(decoded.status, ScheduleStatus::kOk);
+  EXPECT_EQ(decoded.request_id, 41u);
+  RouterStats stats = router.stats();
+  EXPECT_EQ(stats.quorum_checked, 1u);
+  EXPECT_EQ(stats.quorum_agreed, 1u);
+  EXPECT_EQ(stats.quorum_divergence, 0u);
+
+  const Bytes client_payload = dls::serve::encode_schedule_request(request);
+  const std::vector<std::size_t> owners =
+      ShardMap(2, dls::serve::ShardMapConfig{RouterConfig{}.vnodes})
+          .owners(dls::serve::canonical_topology_key(request.w, request.z),
+                  2);
+  ASSERT_EQ(owners.size(), 2u);
+  Bytes relayed = fakes[owners[0]]->replies().back();
+  dls::serve::patch_schedule_response_id(relayed, 41);
+  EXPECT_EQ(answer, relayed);
+  EXPECT_EQ(decoded.cache_hit, owners[0] == 0);
+
+  for (std::size_t shard = 0; shard < fakes.size(); ++shard) {
+    const std::vector<Bytes> seen = fakes[shard]->requests();
+    ASSERT_FALSE(seen.empty());
+    const Bytes& forwarded = seen.back();
+    EXPECT_EQ(dls::serve::schedule_request_id(forwarded),
+              shard == 0 ? 2u : 1u);
+    Bytes as_client = forwarded;
+    dls::serve::patch_schedule_request_id(as_client, 41);
+    EXPECT_EQ(as_client, client_payload) << "shard " << shard;
+  }
+  end.close();
+  router.stop();
+}
+
+TEST(ShardRouterTest, OneUlpPaymentDivergenceIsATypedIncident) {
+  // The quorum compares every answer byte, payments included: one ulp
+  // on one payment is a divergence, never an answer.
+  std::vector<std::unique_ptr<FakeShard>> fakes;
+  for (const double q1 : {0.25, std::nextafter(0.25, 1.0)}) {
+    fakes.push_back(std::make_unique<FakeShard>([q1](const ScheduleRequest&) {
+      ScheduleResponse response = ok_response(1.0);
+      response.payments = {0.6, q1};
+      response.total_payment = 0.25;
+      return response;
+    }));
+  }
+  ShardRouter router(fake_config(&fakes));
+  PipeEnd end = router.connect();
+  ScheduleRequest request;
+  request.request_id = 9;
+  request.w = {1.0, 1.0};
+  request.z = {0.1};
+  request.options.want_payments = true;
+  const ScheduleResponse answer =
+      dls::serve::decode_schedule_response(round_trip(end, request));
+  EXPECT_EQ(answer.status, ScheduleStatus::kError);
+  EXPECT_EQ(answer.request_id, 9u);
+  EXPECT_NE(answer.error.find("divergence"), std::string::npos);
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.quorum_divergence, 1u);
+  EXPECT_EQ(stats.quorum_agreed, 0u);
+  EXPECT_EQ(stats.answered_ok, 0u);
+  end.close();
+  router.stop();
+}
+
+TEST(ShardRouterTest, OverlongRequestMagicIsForwardedCanonically) {
+  // A request whose magic length is an overlong varint still decodes,
+  // but its id is not at the canonical offset. The router must not
+  // patch the link id over the wrong bytes: it forwards a canonical
+  // re-encoding, the client gets its answer, and no shard is charged.
+  std::vector<std::unique_ptr<FakeShard>> fakes;
+  for (int i = 0; i < 2; ++i) {
+    fakes.push_back(std::make_unique<FakeShard>(
+        [](const ScheduleRequest&) { return ok_response(1.0); }));
+  }
+  ShardRouter router(fake_config(&fakes));
+  PipeEnd end = router.connect();
+  ScheduleRequest request;
+  request.w = {1.0, 1.0};
+  request.z = {0.1};
+  for (std::uint64_t id = 41; id < 41 + 4; ++id) {
+    request.request_id = id;
+    const Bytes sent =
+        with_overlong_magic(dls::serve::encode_schedule_request(request));
+    ASSERT_FALSE(dls::serve::has_canonical_request_id(sent));
+    ASSERT_EQ(dls::serve::decode_schedule_request(sent).request_id, id);
+    const ScheduleResponse answer =
+        dls::serve::decode_schedule_response(round_trip(end, sent));
+    EXPECT_EQ(answer.status, ScheduleStatus::kOk) << answer.error;
+    EXPECT_EQ(answer.request_id, id);
+    EXPECT_EQ(answer.makespan, 1.0);
+  }
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.forward_failures, 0u);
+  EXPECT_EQ(stats.shard_deaths, 0u);
+  EXPECT_EQ(stats.quorum_agreed, 4u);
+  for (const auto& fake : fakes) {
+    const std::vector<Bytes> seen = fake->requests();
+    ASSERT_EQ(seen.size(), 4u);
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      ScheduleRequest expected = request;
+      expected.request_id = i + 1;  // the link's own ids
+      EXPECT_EQ(seen[i], dls::serve::encode_schedule_request(expected));
+    }
+  }
+  end.close();
+  router.stop();
+}
+
+TEST(ShardRouterTest, OverlongReplyMagicIsReencodedOrDivergent) {
+  ScheduleRequest request;
+  request.request_id = 41;
+  request.w = {1.0, 1.0};
+  request.z = {0.1};
+  const auto responder = [](const ScheduleRequest&) {
+    return ok_response(1.0);
+  };
+  {
+    // A lone replica's non-canonical reply is relayed re-encoded, under
+    // the client's id.
+    std::vector<std::unique_ptr<FakeShard>> fakes;
+    fakes.push_back(std::make_unique<FakeShard>(responder, true));
+    ShardRouter router(fake_config(&fakes));
+    PipeEnd end = router.connect();
+    const Bytes answer = round_trip(end, request);
+    ScheduleResponse expected = ok_response(1.0);
+    expected.request_id = 41;
+    EXPECT_EQ(answer, dls::serve::encode_schedule_response(expected));
+    EXPECT_EQ(router.stats().forward_failures, 0u);
+    end.close();
+    router.stop();
+  }
+  {
+    // Against a canonical replica it is not byte-identical: a typed
+    // divergence incident, never an answer.
+    std::vector<std::unique_ptr<FakeShard>> fakes;
+    fakes.push_back(std::make_unique<FakeShard>(responder, false));
+    fakes.push_back(std::make_unique<FakeShard>(responder, true));
+    ShardRouter router(fake_config(&fakes));
+    PipeEnd end = router.connect();
+    const ScheduleResponse answer =
+        dls::serve::decode_schedule_response(round_trip(end, request));
+    EXPECT_EQ(answer.status, ScheduleStatus::kError);
+    EXPECT_EQ(answer.request_id, 41u);
+    const RouterStats stats = router.stats();
+    EXPECT_EQ(stats.quorum_divergence, 1u);
+    EXPECT_EQ(stats.forward_failures, 0u);
+    end.close();
+    router.stop();
+  }
 }
 
 TEST(ShardRouterTest, BackpressureMergeTakesTheLargestRetryAfter) {
