@@ -17,7 +17,7 @@ User counters whose name starts with ``floor_`` are gated as MINIMA:
 bigger is better, and the gate fails when the current value drops below
 baseline / threshold. The batch solver exports its measured speedup over
 sequential scalar solves as ``floor_speedup_vs_scalar``, so losing the
-vectorised win is a gate failure, not a silent note in a report.
+batched win is a gate failure, not a silent note in a report.
 
 Usage:
     bench/check_perf_regression.py BASELINE CURRENT [--threshold 3.0]

@@ -139,7 +139,7 @@ inline void check_linear_solution(const net::LinearNetwork& network,
 /// Replays the full Algorithm 1 recurrence for ONE lane of a batched
 /// SoA solve and compares every stored quantity with exact == — the
 /// batch engine's contract is bit-identity with the scalar solver, so
-/// a miscompiled or misindexed SIMD lane surfaces here as a
+/// a miscompiled or misindexed vector lane surfaces here as a
 /// ContractViolation instead of a silently wrong answer.
 ///
 /// Pointers are pre-offset to the lane. `w` advances `w_stride` doubles

@@ -11,26 +11,9 @@
 
 namespace dls::dlt {
 
-bool batch_simd_compiled() noexcept { return detail::lane_simd_compiled(); }
-
-bool batch_simd_available() noexcept { return detail::lane_simd_available(); }
+bool batch_simd_available() noexcept { return false; }
 
 namespace {
-
-detail::LaneKernel resolve_kernel(BatchKernel kernel) {
-  switch (kernel) {
-    case BatchKernel::kScalar:
-      return detail::LaneKernel::kScalar;
-    case BatchKernel::kSimd:
-      DLS_REQUIRE(batch_simd_available(),
-                  "BatchKernel::kSimd requires a DLS_SIMD build on a "
-                  "supporting CPU (see batch_simd_available)");
-      return detail::best_lane_kernel();
-    case BatchKernel::kAuto:
-      break;
-  }
-  return detail::best_lane_kernel();
-}
 
 /// Cold failure path of BatchLinearSolver::solve, kept out of the
 /// annotated hot function so the formatted message's string building is
@@ -128,7 +111,7 @@ void BatchLinearSolver::set_instance(std::size_t lane,
 }
 
 DLS_HOT_NOALLOC
-void BatchLinearSolver::solve(BatchKernel kernel) {
+void BatchLinearSolver::solve() {
   if (filled_count_ != lanes_) throw_lanes_unfilled(filled_count_, lanes_);
   const std::size_t n = processors_;
   const std::size_t k = lanes_;
@@ -136,10 +119,6 @@ void BatchLinearSolver::solve(BatchKernel kernel) {
                                    ",\"k\":" + std::to_string(k) + "}");
   DLS_COUNT("solver.batch.solves");
   DLS_COUNT("solver.batch.lanes", k);
-  const detail::LaneKernel lane_kernel = resolve_kernel(kernel);
-  if (lane_kernel != detail::LaneKernel::kScalar) {
-    DLS_COUNT("solver.batch.simd_solves");
-  }
 
   // Steps 1-6 of Algorithm 1 across lanes: terminal seed, then collapse
   // row by row toward the root. Same arithmetic as
@@ -164,7 +143,7 @@ void BatchLinearSolver::solve(BatchKernel kernel) {
       row_w_[lane] = w_src[lane * n];
       row_z_[lane] = z_src[lane * (n - 1)];
     }
-    detail::reduce_lanes(lane_kernel, row_w_.data(), row_z_.data(), tail,
+    detail::reduce_lanes(row_w_.data(), row_z_.data(), tail,
                          alpha_hat_.data() + i * k,
                          equivalent_w_.data() + i * k, k);
   }
@@ -172,9 +151,8 @@ void BatchLinearSolver::solve(BatchKernel kernel) {
   // Steps 7-10: unroll local fractions into global ones, per lane.
   for (std::size_t lane = 0; lane < k; ++lane) remaining_[lane] = 1.0;
   for (std::size_t i = 0; i < n; ++i) {
-    detail::unroll_lanes(lane_kernel, alpha_hat_.data() + i * k,
-                         remaining_.data(), received_.data() + i * k,
-                         alpha_.data() + i * k, k);
+    detail::unroll_lanes(alpha_hat_.data() + i * k, remaining_.data(),
+                         received_.data() + i * k, alpha_.data() + i * k, k);
   }
   solved_ = true;
 
@@ -185,7 +163,8 @@ void BatchLinearSolver::solve(BatchKernel kernel) {
 //   level 2 (Debug/CI): replay EVERY lane against the scalar recurrence
 //     with exact == — O(n*k), full coverage per solve.
 //   level 1 (optimised builds): replay the LAST lane (the ragged tail
-//     the SIMD remainder loop handles — the most bug-prone spot) plus
+//     a vectorized loop's remainder iterations handle — the most
+//     bug-prone spot) plus
 //     one rotating lane per solve. A miscompiled kernel corrupts all
 //     lanes uniformly, so sampling catches it immediately, and the
 //     cursor covers every lane across repeated solves at O(2n) cost —

@@ -6,16 +6,14 @@
 // chains. BatchLinearSolver solves K same-length instances in lockstep:
 // reduction state is interleaved across instances (lane k of chain row i
 // lives at [i*K + k]), so each step of the recurrence becomes a dense
-// loop over K independent lanes that vectorizes (AVX2/NEON kernels in
-// batch_kernels.hpp behind the DLS_SIMD gate, with a portable scalar
-// loop as the reference implementation).
+// loop over K independent lanes (batch_kernels.hpp) that the compiler
+// vectorizes.
 //
 // Contract: every lane of every result is BIT-IDENTICAL to a scalar
-// solve_linear_boundary of the same instance — the kernels replicate
+// solve_linear_boundary of the same instance — the lane loops replicate
 // the scalar association order exactly, and elementwise IEEE-754
 // add/sub/mul/div vectorize without changing rounding. Tests and the
-// src/check auditors assert this with exact ==, under both SIMD-on and
-// SIMD-off builds.
+// src/check auditors assert this with exact ==.
 //
 // All buffers are arena-style: sized by reserve()/begin() and reused,
 // so a warmed solver performs 0 heap allocations per solve (asserted by
@@ -32,21 +30,8 @@
 
 namespace dls::dlt {
 
-/// Kernel selection for BatchLinearSolver::solve. kAuto picks the best
-/// kernel this binary + CPU supports; the explicit values exist so
-/// tests can force scalar-vs-SIMD comparisons on the same build.
-enum class BatchKernel {
-  kAuto,    ///< SIMD when compiled in and supported by this CPU
-  kScalar,  ///< portable reference lanes, always available
-  kSimd,    ///< intrinsic lanes; solve() throws if unavailable
-};
-
-/// True when this binary was compiled with SIMD lane kernels
-/// (DLS_SIMD=1 on an x86-64 or aarch64 target).
-bool batch_simd_compiled() noexcept;
-
-/// True when the running CPU can execute the compiled SIMD kernels
-/// (always true for NEON builds; AVX2 is runtime-detected).
+/// Always false: the batched solver has one portable lane kernel and no
+/// intrinsic variant. Kept because benchmark provenance lines print it.
 bool batch_simd_available() noexcept;
 
 /// Solves K independent boundary-origination chains of equal length m
@@ -78,7 +63,7 @@ class BatchLinearSolver {
   void set_instance(std::size_t lane, const net::LinearNetwork& network);
 
   /// Runs Algorithm 1 on every lane. Requires all lanes filled.
-  void solve(BatchKernel kernel = BatchKernel::kAuto);
+  void solve();
 
   /// Finish times by eqs. (2.1)-(2.2) for every lane's optimal
   /// allocation; call after solve(). Results via finish_time().

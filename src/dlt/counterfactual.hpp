@@ -58,7 +58,7 @@ class CounterfactualSolver {
 
   /// Batched rebid: out[k] = rebid(index, bids[k]) bit-for-bit, for all
   /// candidate bids in lockstep. The prefix recurrence runs across bid
-  /// lanes in SoA layout (SIMD kernels under the DLS_SIMD gate), so a
+  /// lanes in SoA layout (the batch_kernels.hpp lane loops), so a
   /// sweep of K bids costs one O(index) pass instead of K — the
   /// utility-curve hot path of CounterfactualMechanism. Requires
   /// bids.size() == out.size(); allocation-free once scratch has warmed

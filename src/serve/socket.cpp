@@ -296,7 +296,7 @@ SocketListener::SocketListener(SocketListener&& other) noexcept
       port_(std::exchange(other.port_, 0)),
       endpoint_(std::move(other.endpoint_)),
       unix_path_(std::move(other.unix_path_)),
-      closed_(std::exchange(other.closed_, false)) {
+      closed_(other.closed_.exchange(false, std::memory_order_acq_rel)) {
   other.endpoint_.clear();
   other.unix_path_.clear();
 }
@@ -309,7 +309,8 @@ SocketListener& SocketListener::operator=(SocketListener&& other) noexcept {
     port_ = std::exchange(other.port_, 0);
     endpoint_ = std::move(other.endpoint_);
     unix_path_ = std::move(other.unix_path_);
-    closed_ = std::exchange(other.closed_, false);
+    closed_.store(other.closed_.exchange(false, std::memory_order_acq_rel),
+                  std::memory_order_release);
     other.endpoint_.clear();
     other.unix_path_.clear();
   }
@@ -387,14 +388,14 @@ SocketListener SocketListener::listen_unix(const std::string& path) {
 
 std::unique_ptr<SocketTransport> SocketListener::accept(
     double timeout_s, SocketConfig config) {
-  if (fd_ < 0 || closed_) return nullptr;
+  if (fd_ < 0 || closed_.load(std::memory_order_acquire)) return nullptr;
   const bool forever = timeout_s <= 0.0;
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(
                              forever ? 0.0 : timeout_s));
   for (;;) {
-    if (closed_) return nullptr;
+    if (closed_.load(std::memory_order_acquire)) return nullptr;
     bool readable = false;
     try {
       readable = poll_for(fd_, POLLIN, forever, deadline);
@@ -418,8 +419,7 @@ std::unique_ptr<SocketTransport> SocketListener::accept(
 }
 
 void SocketListener::close() noexcept {
-  if (closed_) return;
-  closed_ = true;
+  if (closed_.exchange(true, std::memory_order_acq_rel)) return;
   // shutdown() on a listening socket wakes a blocked accept()/poll on
   // Linux; the fd is released by the destructor.
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);

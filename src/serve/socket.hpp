@@ -139,14 +139,18 @@ class SocketListener {
   /// Stops accepting and wakes a blocked accept(). Idempotent.
   void close() noexcept;
 
-  bool valid() const noexcept { return fd_ >= 0 && !closed_; }
+  bool valid() const noexcept {
+    return fd_ >= 0 && !closed_.load(std::memory_order_acquire);
+  }
 
  private:
   int fd_ = -1;
   std::uint16_t port_ = 0;
   std::string endpoint_;
   std::string unix_path_;  ///< unlinked on close when non-empty
-  bool closed_ = false;
+  /// Atomic because close() runs on a shutdown thread while another
+  /// thread sits in accept() or polls valid().
+  std::atomic<bool> closed_{false};
 };
 
 /// Connects to `host`:`port` (numeric IPv4, e.g. "127.0.0.1") within

@@ -2,10 +2,9 @@
 // BatchLinearSolver solve is bit-identical (exact ==, never approximate)
 // to a scalar solve_linear_boundary of the same instance, across chain
 // lengths m in 1..64, degenerate chains, batch widths K in
-// {1, 3, 17, 256} and ragged buffer reuse — and the SIMD kernels agree
-// with the scalar kernels bit-for-bit on the same build. The same
-// discipline is asserted for the batched counterfactual rebids, the
-// utility curve they feed, and the batch-lane mechanism assessment.
+// {1, 3, 17, 256} and ragged buffer reuse. The same discipline is
+// asserted for the batched counterfactual rebids, the utility curve they
+// feed, and the batch-lane mechanism assessment.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -31,7 +30,6 @@ using dls::core::AssessWorkspace;
 using dls::core::CounterfactualMechanism;
 using dls::core::DlsLblResult;
 using dls::core::MechanismConfig;
-using dls::dlt::BatchKernel;
 using dls::dlt::BatchLinearSolver;
 using dls::dlt::CounterfactualSolver;
 using dls::dlt::LinearSolution;
@@ -51,18 +49,17 @@ std::vector<LinearNetwork> random_instances(std::size_t count,
   return nets;
 }
 
-/// Solves `nets` as one batch with `kernel` and asserts every lane and
-/// every extracted solution equals the scalar solver bit-for-bit.
+/// Solves `nets` as one batch and asserts every lane and every
+/// extracted solution equals the scalar solver bit-for-bit.
 void expect_batch_matches_scalar(const std::vector<LinearNetwork>& nets,
-                                 BatchLinearSolver& solver,
-                                 BatchKernel kernel) {
+                                 BatchLinearSolver& solver) {
   const std::size_t n = nets.front().size();
   const std::size_t lanes = nets.size();
   solver.begin(n, lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     solver.set_instance(lane, nets[lane]);
   }
-  solver.solve(kernel);
+  solver.solve();
   solver.evaluate_finish_times();
 
   LinearSolverWorkspace ws;
@@ -101,57 +98,22 @@ TEST(DltBatchTest, BitIdenticalToScalarAcrossChainAndBatchSizes) {
     for (const std::size_t lanes : {1ul, 3ul, 17ul}) {
       SCOPED_TRACE("n=" + std::to_string(n) +
                    " lanes=" + std::to_string(lanes));
-      expect_batch_matches_scalar(random_instances(lanes, n, seed++), solver,
-                                  BatchKernel::kAuto);
+      expect_batch_matches_scalar(random_instances(lanes, n, seed++), solver);
     }
   }
 }
 
 TEST(DltBatchTest, WideBatch256BitIdentical) {
   BatchLinearSolver solver;
-  expect_batch_matches_scalar(random_instances(256, 16, 101), solver,
-                              BatchKernel::kAuto);
+  expect_batch_matches_scalar(random_instances(256, 16, 101), solver);
 }
 
 TEST(DltBatchTest, ScalarKernelBitIdentical) {
-  // The explicit scalar kernel must match too — this is what the
-  // DLS_SIMD=0 build always runs.
+  // Odd lane counts and a longer chain: every vector width the compiler
+  // picks for the lane loops leaves remainder lanes here.
   BatchLinearSolver solver;
-  expect_batch_matches_scalar(random_instances(17, 9, 23), solver,
-                              BatchKernel::kScalar);
-}
-
-TEST(DltBatchTest, SimdAndScalarKernelsAgreeBitForBit) {
-  if (!dls::dlt::batch_simd_available()) {
-    GTEST_SKIP() << "no SIMD kernels in this build/CPU";
-  }
-  const std::vector<LinearNetwork> nets = random_instances(19, 24, 37);
-  const std::size_t n = nets.front().size();
-  BatchLinearSolver scalar;
-  BatchLinearSolver simd;
-  for (BatchLinearSolver* s : {&scalar, &simd}) {
-    s->begin(n, nets.size());
-    for (std::size_t lane = 0; lane < nets.size(); ++lane) {
-      s->set_instance(lane, nets[lane]);
-    }
-  }
-  scalar.solve(BatchKernel::kScalar);
-  simd.solve(BatchKernel::kSimd);
-  for (std::size_t lane = 0; lane < nets.size(); ++lane) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(scalar.alpha(lane, i), simd.alpha(lane, i));
-      ASSERT_EQ(scalar.alpha_hat(lane, i), simd.alpha_hat(lane, i));
-      ASSERT_EQ(scalar.equivalent_w(lane, i), simd.equivalent_w(lane, i));
-      ASSERT_EQ(scalar.received(lane, i), simd.received(lane, i));
-    }
-    ASSERT_EQ(scalar.makespan(lane), simd.makespan(lane));
-  }
-}
-
-TEST(DltBatchTest, SimdAvailabilityImpliesCompiled) {
-  if (dls::dlt::batch_simd_available()) {
-    EXPECT_TRUE(dls::dlt::batch_simd_compiled());
-  }
+  expect_batch_matches_scalar(random_instances(17, 9, 23), solver);
+  expect_batch_matches_scalar(random_instances(19, 24, 37), solver);
 }
 
 TEST(DltBatchTest, DegenerateAndExtremeChains) {
@@ -162,7 +124,7 @@ TEST(DltBatchTest, DegenerateAndExtremeChains) {
   singletons.emplace_back(std::vector<double>{2.5}, std::vector<double>{});
   singletons.emplace_back(std::vector<double>{1e-6}, std::vector<double>{});
   singletons.emplace_back(std::vector<double>{1e6}, std::vector<double>{});
-  expect_batch_matches_scalar(singletons, solver, BatchKernel::kAuto);
+  expect_batch_matches_scalar(singletons, solver);
   EXPECT_EQ(solver.alpha(0, 0), 1.0);
   EXPECT_EQ(solver.makespan(0), 2.5);
 
@@ -173,12 +135,12 @@ TEST(DltBatchTest, DegenerateAndExtremeChains) {
                      std::vector<double>{1e-6});
   pairs.emplace_back(std::vector<double>{1e6, 1e-6},
                      std::vector<double>{1e6});
-  expect_batch_matches_scalar(pairs, solver, BatchKernel::kAuto);
+  expect_batch_matches_scalar(pairs, solver);
 }
 
 TEST(DltBatchTest, RaggedReuseAcrossShapes) {
   // One solver instance reused across shrinking and growing shapes —
-  // including a final ragged width that is not a SIMD-lane multiple.
+  // including a final ragged width that is not a vector-width multiple.
   BatchLinearSolver solver;
   solver.reserve(64, 256);
   std::uint64_t seed = 900;
@@ -186,8 +148,7 @@ TEST(DltBatchTest, RaggedReuseAcrossShapes) {
        std::vector<std::pair<std::size_t, std::size_t>>{
            {8, 17}, {64, 3}, {2, 256}, {5, 1}, {3, 7}}) {
     SCOPED_TRACE("n=" + std::to_string(n) + " lanes=" + std::to_string(lanes));
-    expect_batch_matches_scalar(random_instances(lanes, n, seed++), solver,
-                                BatchKernel::kAuto);
+    expect_batch_matches_scalar(random_instances(lanes, n, seed++), solver);
   }
 }
 

@@ -17,6 +17,7 @@
 // DLS_CHAOS_TRACE_OUT streaming a Chrome trace of the run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -27,6 +28,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -38,6 +40,8 @@
 #include "serve/client.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
+#include "serve/service_wire.hpp"
+#include "serve/shard.hpp"
 
 namespace {
 
@@ -51,6 +55,8 @@ using dls::serve::ScheduleStatus;
 using dls::serve::SchedulerClient;
 using dls::serve::SchedulerService;
 using dls::serve::ServiceConfig;
+using dls::serve::ShardMap;
+using dls::serve::ShardMapConfig;
 using dls::serve::ShardRouter;
 using dls::serve::Transport;
 using dls::serve::TransportError;
@@ -96,21 +102,49 @@ class Watchdog {
   std::thread thread_;
 };
 
+constexpr std::size_t kShards = 3;
+constexpr std::size_t kKilled = 1;
+constexpr std::size_t kReplication = 2;
+
 struct Topology {
   std::vector<double> w;
   std::vector<double> z;
 };
 
+/// `count` topologies drawn from the seeded stream, at least half of
+/// them owned (among their kReplication owners) by the shard the soak
+/// kills. Otherwise the kill is confirmed only when chaos happens to
+/// mark a healthy owner dead and reroutes a key to kKilled, and the
+/// run depends on timing. Ownership comes from a ring built like the
+/// router's, so a ring change cannot silently undo the selection.
 std::vector<Topology> random_topologies(std::size_t count,
                                         std::uint64_t seed) {
+  const ShardMap ring(kShards, ShardMapConfig{RouterConfig{}.vnodes});
+  const std::size_t want_killed = (count + 1) / 2;
+  std::size_t have_killed = 0;
   dls::common::Rng rng(seed);
-  std::vector<Topology> out(count);
-  for (Topology& topo : out) {
+  std::vector<Topology> out;
+  for (int draw = 0; out.size() < count; ++draw) {
+    if (draw == 100000) {
+      ADD_FAILURE() << "shard " << kKilled << " owns almost no keys";
+      break;
+    }
+    Topology topo;
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 8));
     topo.w.resize(n);
     topo.z.resize(n - 1);
     for (double& x : topo.w) x = rng.uniform(0.2, 3.0);
     for (double& x : topo.z) x = rng.uniform(0.01, 0.5);
+    const std::vector<std::size_t> owners = ring.owners(
+        dls::serve::canonical_topology_key(topo.w, topo.z), kReplication);
+    const bool on_killed =
+        std::find(owners.begin(), owners.end(), kKilled) != owners.end();
+    if (on_killed ? have_killed == want_killed
+                  : out.size() - have_killed == count - want_killed) {
+      continue;
+    }
+    have_killed += on_killed ? 1 : 0;
+    out.push_back(std::move(topo));
   }
   return out;
 }
@@ -156,9 +190,6 @@ struct SoakTally {
 void run_seed(std::uint64_t seed, const std::vector<Topology>& topos,
               const std::vector<dls::dlt::LinearSolution>& truth,
               int per_client, SoakTally& tally) {
-  constexpr std::size_t kShards = 3;
-  constexpr std::size_t kKilled = 1;
-
   std::vector<std::unique_ptr<SchedulerService>> shards;
   for (std::size_t s = 0; s < kShards; ++s) {
     ServiceConfig config;
@@ -181,7 +212,7 @@ void run_seed(std::uint64_t seed, const std::vector<Topology>& topos,
   std::atomic<std::uint64_t> dials{0};
   RouterConfig config;
   config.shard_count = kShards;
-  config.replication = 2;
+  config.replication = kReplication;
   // A corrupted request frame is swallowed by the shard as poison (no
   // response ever comes), so the forward deadline must be short.
   config.forward_timeout_s = 0.25;

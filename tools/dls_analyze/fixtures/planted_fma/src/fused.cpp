@@ -1,5 +1,5 @@
-// Seeded violation for the fp-fence check: an fma() call outside the
-// sanctioned kernel header. The analyzer must flag the fused rounding.
+// Seeded violation for the fp-fence check: an fma() call, banned in every
+// source file. The analyzer must flag the fused rounding.
 #include <cmath>
 
 namespace fixture {
