@@ -32,8 +32,8 @@ void print_reduction_trace() {
   int step = 1;
   for (const auto& s : solution.steps) {
     table.add_row({step++,
-                   "P" + std::to_string(s.index) + " + equiv(P" +
-                       std::to_string(s.index + 1) + "..P4)",
+                   std::string("P").append(std::to_string(s.index)) +
+                       " + equiv(P" + std::to_string(s.index + 1) + "..P4)",
                    dls::common::Cell(s.alpha_hat, 6),
                    dls::common::Cell(s.tail_w, 6),
                    dls::common::Cell(s.link_z, 6),

@@ -54,7 +54,7 @@ int main() {
       const double err = dls::common::relative_error(
           analytic[i], result.finish_time[i]);
       worst = std::max(worst, err);
-      table.add_row({"P" + std::to_string(i),
+      table.add_row({std::string("P").append(std::to_string(i)),
                      dls::common::Cell(analytic[i], 6),
                      dls::common::Cell(result.finish_time[i], 6),
                      dls::common::Cell(err, 12)});

@@ -8,8 +8,9 @@
 // requests are pre-encoded frames replayed with stable request ids
 // (the idempotent-retry shape), and responses are drained by framing
 // reads alone. That keeps client-side CPU out of the server figures
-// and exercises the router's verbatim replay tier — the architectural
-// fast path this comparison exists to price.
+// and exercises the router's replay byte-cache (one id patch and one
+// re-frame per repeat) — the architectural fast path this comparison
+// exists to price.
 //
 // Two throughput figures come out of each closed loop:
 //  * wall req/s — requests over wall time. On the single-core CI host
@@ -213,8 +214,8 @@ void bm_serve_sharded(benchmark::State& state) {
   };
 
   // Warm-up: three passes over the mix land every topology in the
-  // shard caches, then walk the replay tiers to steady state (seed,
-  // same-id repeat, verbatim promotion).
+  // shard caches, then seed the router's replay byte-cache from the
+  // inline answers.
   run_closed_loop(connect_single, 1, 3 * static_cast<int>(kTopologies),
                   frames);
   run_closed_loop(connect_sharded, 1, 3 * static_cast<int>(kTopologies),

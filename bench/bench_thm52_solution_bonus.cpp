@@ -62,7 +62,8 @@ int main() {
           options);
       const double hu = honest.processors[deviant].utility;
       const double cu = corrupt.processors[deviant].utility;
-      table.add_row({dls::common::Cell(s, 2), "P" + std::to_string(deviant),
+      table.add_row({dls::common::Cell(s, 2),
+                     std::string("P").append(std::to_string(deviant)),
                      dls::common::Cell(hu, 4), dls::common::Cell(cu, 4),
                      dls::common::Cell(cu - hu, 4),
                      cu < hu - 1e-12 ? "yes" : "no (indifferent)"});

@@ -40,7 +40,7 @@ int main() {
          .x_label = "bid w_" + std::to_string(i) +
                     " (truth t = " + dls::common::format_double(t, 2) + ")",
          .y_label = "utility",
-         .title = "P" + std::to_string(i) +
+         .title = std::string("P").append(std::to_string(i)) +
                   (i + 1 == network.size() ? " (terminal)" : " (interior)")});
     const std::size_t peak = dls::common::argmax(curve.utilities);
     std::cout << "peak at bid = " << curve.bids[peak]
@@ -62,7 +62,7 @@ int main() {
           dls::analysis::utility_vs_bid(network, i, grid, config);
       const double gap = dls::analysis::max_truth_advantage_gap(curve);
       const std::size_t best = dls::common::argmax(curve.utilities);
-      table.add_row({"P" + std::to_string(i),
+      table.add_row({std::string("P").append(std::to_string(i)),
                      dls::common::Cell(curve.utility_at_truth, 6),
                      dls::common::Cell(curve.bids[best], 4),
                      dls::common::Cell(gap, 12),

@@ -31,7 +31,7 @@ int main() {
     const auto curve =
         dls::analysis::utility_vs_speed(network, i, mults, config);
     dls::common::Series s;
-    s.name = "P" + std::to_string(i);
+    s.name = std::string("P").append(std::to_string(i));
     s.marker = markers[i - 1];
     s.xs = mults;
     s.ys = curve.utilities;

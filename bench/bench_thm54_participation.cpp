@@ -77,7 +77,7 @@ int main() {
                               {"utility"}});
     for (std::size_t j = 1; j < net.size(); ++j) {
       const auto& a = result.processors[j];
-      table.add_row({"P" + std::to_string(j),
+      table.add_row({std::string("P").append(std::to_string(j)),
                      dls::common::Cell(a.alpha, 4),
                      dls::common::Cell(a.money.bonus, 6),
                      dls::common::Cell(a.money.utility, 6)});

@@ -38,7 +38,7 @@ int main() {
                  {"finish time", Align::kRight}});
     const auto finish = dls::dlt::finish_times(network, solution.alpha);
     for (std::size_t i = 0; i < network.size(); ++i) {
-      table.add_row({"P" + std::to_string(i),
+      table.add_row({std::string("P").append(std::to_string(i)),
                      dls::common::Cell(solution.alpha[i], 4),
                      dls::common::Cell(solution.alpha_hat[i], 4),
                      dls::common::Cell(solution.received[i], 4),
@@ -64,7 +64,7 @@ int main() {
                  {"payment Q", Align::kRight},
                  {"utility U", Align::kRight}});
     for (const auto& a : result.processors) {
-      table.add_row({"P" + std::to_string(a.index),
+      table.add_row({std::string("P").append(std::to_string(a.index)),
                      dls::common::Cell(-a.money.valuation, 4),
                      dls::common::Cell(a.money.compensation, 4),
                      dls::common::Cell(a.money.bonus, 4),

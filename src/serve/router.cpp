@@ -136,7 +136,7 @@ void ShardRouter::on_frame(Session* session, const Frame& frame) {
     send_response(session, refusal);
     return;
   }
-  // Verbatim fast path: a payload byte-identical (modulo id) to one
+  // Replay fast path: a payload byte-identical (modulo id) to one
   // already answered inline replays the cached encoding before any
   // decode work happens.
   if (config_.replay_cache_capacity > 0 &&
@@ -166,103 +166,45 @@ bool ShardRouter::try_replay(Session* session,
   const std::span<const std::uint8_t> key =
       schedule_request_replay_key(payload);
   if (key.empty()) return false;
-  const std::string_view whole(
-      reinterpret_cast<const char*>(payload.data()), payload.size());
-  const std::string_view needle(reinterpret_cast<const char*>(key.data()),
-                                key.size());
-  // Tier 1: an exact repeat (idempotent retry, id included) ships the
-  // cached frame bytes untouched — one write, no hashing or encoding.
-  const std::uint64_t request_id = schedule_request_id(payload);
-  codec::Bytes wire;
   codec::Bytes encoded;
-  bool verbatim = false;
-  bool promote = false;
   {
     std::lock_guard<std::mutex> lock(replay_mutex_);
-    const auto hit = verbatim_cache_.find(whole);
-    if (hit != verbatim_cache_.end()) {
-      wire = hit->second;
-      verbatim = true;
-    } else {
-      const auto it = replay_cache_.find(needle);
-      if (it == replay_cache_.end()) return false;
-      encoded = it->second.encoded;
-      promote = it->second.last_id == request_id;
-      it->second.last_id = request_id;
-    }
+    const auto it = replay_cache_.find(std::string_view(
+        reinterpret_cast<const char*>(key.data()), key.size()));
+    if (it == replay_cache_.end()) return false;
+    encoded = it->second;
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.received;
     ++stats_.replayed;
-    if (verbatim) ++stats_.replayed_verbatim;
-    ++stats_.answered_ok;
   }
   DLS_COUNT("serve.shard.requests");
   DLS_COUNT("serve.shard.replays");
-  if (!verbatim) {
-    // Tier 2: same request under a fresh id — patch the echoed id into
-    // the cached payload and re-frame. Promotion into tier 1 waits for
-    // a repeat under the SAME id (an exact-frame replayer), so id-
-    // incrementing clients don't churn the verbatim tier.
-    patch_schedule_response_id(encoded, request_id);
-    Frame frame;
-    frame.type = FrameType::kScheduleResponse;
-    frame.payload = std::move(encoded);
-    wire = encode_frame(frame);
-    if (promote) store_verbatim(payload, wire);
-  } else {
-    DLS_COUNT("serve.shard.replays_verbatim");
-  }
-  try {
-    session->end->write(wire);
-  } catch (const TransportError&) {
-    // The client hung up before its answer landed; nothing to do.
-  }
+  // The cached answer is a pure function of the bytes after the id, so
+  // only the echoed id differs between repeats, a same-id retry included.
+  patch_schedule_response_id(encoded, schedule_request_id(payload));
+  write_response(session, /*ok=*/true, std::move(encoded));
   return true;
 }
 
 void ShardRouter::store_replay(std::span<const std::uint8_t> payload,
-                               const codec::Bytes& encoded,
-                               const codec::Bytes& wire) {
+                               const codec::Bytes& encoded) {
   const std::span<const std::uint8_t> key =
       schedule_request_replay_key(payload);
   if (key.empty()) return;
   std::string owned(reinterpret_cast<const char*>(key.data()), key.size());
-  {
-    std::lock_guard<std::mutex> lock(replay_mutex_);
-    if (replay_cache_.find(std::string_view(owned)) ==
-        replay_cache_.end()) {
-      while (replay_cache_.size() >= config_.replay_cache_capacity &&
-             !replay_fifo_.empty()) {
-        replay_cache_.erase(replay_fifo_.front());
-        replay_fifo_.pop_front();
-      }
-      replay_fifo_.push_back(owned);
-      replay_cache_.emplace(
-          std::move(owned),
-          ReplayEntry{encoded, schedule_request_id(payload)});
-    }
-  }
-  store_verbatim(payload, wire);
-}
-
-void ShardRouter::store_verbatim(std::span<const std::uint8_t> payload,
-                                 const codec::Bytes& wire) {
-  std::string owned(reinterpret_cast<const char*>(payload.data()),
-                    payload.size());
   std::lock_guard<std::mutex> lock(replay_mutex_);
-  if (verbatim_cache_.find(std::string_view(owned)) !=
-      verbatim_cache_.end()) {
+  if (replay_cache_.find(std::string_view(owned)) != replay_cache_.end()) {
     return;
   }
-  while (verbatim_cache_.size() >= config_.replay_cache_capacity &&
-         !verbatim_fifo_.empty()) {
-    verbatim_cache_.erase(verbatim_fifo_.front());
-    verbatim_fifo_.pop_front();
+  while (replay_cache_.size() >= config_.replay_cache_capacity &&
+         !replay_fifo_.empty()) {
+    replay_cache_.erase(replay_fifo_.front());
+    replay_fifo_.pop_front();
   }
-  verbatim_fifo_.push_back(owned);
-  verbatim_cache_.emplace(std::move(owned), wire);
+  replay_fifo_.push_back(owned);
+  replay_cache_.emplace(std::move(owned), encoded);
 }
 
 void ShardRouter::handle_request(Session* session,
@@ -301,26 +243,16 @@ void ShardRouter::handle_request(Session* session,
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.inline_hits;
-        ++stats_.answered_ok;
       }
       DLS_COUNT("serve.shard.inline_hits");
-      // Encode once: the frame bytes answer this client AND seed both
-      // replay tiers, so the next identical request skips decode and
-      // encode entirely. Only inline answers (payment-free,
-      // deadline-free cache hits) ever populate them, which keeps
-      // replays safe.
-      Frame frame;
-      frame.type = FrameType::kScheduleResponse;
-      frame.payload = encode_schedule_response(response);
-      const codec::Bytes wire = encode_frame(frame);
-      if (config_.replay_cache_capacity > 0) {
-        store_replay(payload, frame.payload, wire);
-      }
-      try {
-        session->end->write(wire);
-      } catch (const TransportError&) {
-        // The client hung up before its answer landed; nothing to do.
-      }
+      // Encode once: the payload answers this client AND seeds the
+      // replay byte-cache, so the next identical request skips decode
+      // and encode entirely. Only inline answers (payment-free,
+      // deadline-free cache hits) ever populate it, which keeps replays
+      // safe.
+      codec::Bytes encoded = encode_schedule_response(response);
+      if (config_.replay_cache_capacity > 0) store_replay(payload, encoded);
+      write_response(session, /*ok=*/true, std::move(encoded));
       return;
     }
   }

@@ -88,20 +88,17 @@ struct RouterConfig {
   std::size_t resync_scan_bytes = 65536;
   /// Ring granularity (ShardMapConfig::vnodes).
   std::size_t vnodes = 64;
-  /// Capacity (entries per tier; 0 disables) of the two-tier replay
-  /// byte-cache. Tier 1 keys the WHOLE request payload and holds the
-  /// complete encoded response frame: an exact repeat — an idempotent
-  /// retry reusing its request id — is answered with one buffer write
-  /// and no hashing, decoding or encoding at all. Tier 2 keys the
-  /// payload after the request_id field and holds the response payload
-  /// encoding: a repeat under a fresh id replays it with only the
-  /// echoed id patched, then promotes the re-framed bytes into tier 1.
-  /// Both tiers are populated only downstream of the colocated inline
-  /// fast path, so every entry is a payment-free, deadline-free cache
-  /// hit — the only traffic whose response is a pure function of the
-  /// request bytes. Keying on the full payload (suffix) means any
-  /// change to the round tag, deadline, payments flag or topology
-  /// misses and takes the full path. Bounded, FIFO-evicted per tier.
+  /// Capacity (entries; 0 disables) of the replay byte-cache. It keys
+  /// the request payload after the request_id field and holds the
+  /// response payload encoding, so a repeat under any id — a fresh one
+  /// or an idempotent retry reusing its own — is answered with one id
+  /// patch and one re-frame, no decoding or encoding of the request or
+  /// the answer. Populated only downstream of the colocated inline fast
+  /// path, so every entry is a payment-free, deadline-free cache hit —
+  /// the only traffic whose response is a pure function of the request
+  /// bytes. Keying on the rest of the payload means any change to the
+  /// round tag, deadline, payments flag or topology misses and takes the
+  /// full path. Bounded, FIFO-evicted.
   std::size_t replay_cache_capacity = 128;
 };
 
@@ -110,8 +107,7 @@ struct RouterConfig {
 struct RouterStats {
   std::uint64_t received = 0;      ///< well-formed requests read
   std::uint64_t inline_hits = 0;   ///< answered from a colocated cache
-  std::uint64_t replayed = 0;      ///< byte-cache replays (both tiers)
-  std::uint64_t replayed_verbatim = 0;  ///< tier-1 whole-frame replays
+  std::uint64_t replayed = 0;      ///< answered from the replay byte-cache
   std::uint64_t forwarded = 0;     ///< request copies sent to shards
   std::uint64_t forward_failures = 0;  ///< wire/decode failures talking
                                        ///< to a shard
@@ -192,14 +188,10 @@ class ShardRouter {
   /// Returns true when the response went out.
   bool try_replay(Session* session,
                   std::span<const std::uint8_t> payload);
-  /// Stores an inline answer under both replay tiers: the response
-  /// payload `encoded` under the request's id-less suffix, and the
-  /// complete response frame `wire` under the whole request payload.
+  /// Stores an inline answer's response payload `encoded` under the
+  /// request's id-less suffix. Caller holds no locks.
   void store_replay(std::span<const std::uint8_t> payload,
-                    const codec::Bytes& encoded, const codec::Bytes& wire);
-  /// Tier-1 insert alone (replay promotion). Caller holds no locks.
-  void store_verbatim(std::span<const std::uint8_t> payload,
-                      const codec::Bytes& wire);
+                    const codec::Bytes& encoded);
   /// Sends the validated request `payload` to `shard` under the link's
   /// next id and blocks for the reply. A wire/decode failure drops the
   /// link (next request reconnects) and counts against the shard's
@@ -240,29 +232,13 @@ class ShardRouter {
       return std::hash<std::string_view>{}(key);
     }
   };
-  /// Tier-2 entry: the cached response payload plus the request id the
-  /// suffix was last asked under. A repeat under the SAME id marks the
-  /// client as an exact-frame replayer, which is what gates promotion
-  /// into tier 1 — clients that increment ids never repeat one, so
-  /// they never churn the verbatim tier with single-use entries.
-  struct ReplayEntry {
-    codec::Bytes encoded;
-    std::uint64_t last_id = 0;
-  };
-
   /// Leaf lock: never held together with any other router mutex.
-  /// Guards both replay tiers.
   mutable std::mutex replay_mutex_;
-  /// Tier 2: request payload after the id -> response payload encoding.
-  std::unordered_map<std::string, ReplayEntry, ReplayKeyHash,
+  /// Request payload after the id -> response payload encoding.
+  std::unordered_map<std::string, codec::Bytes, ReplayKeyHash,
                      std::equal_to<>>
       replay_cache_;
   std::deque<std::string> replay_fifo_;  ///< insertion order, for eviction
-  /// Tier 1: whole request payload -> complete response frame bytes.
-  std::unordered_map<std::string, codec::Bytes, ReplayKeyHash,
-                     std::equal_to<>>
-      verbatim_cache_;
-  std::deque<std::string> verbatim_fifo_;
 
   std::thread monitor_;
   /// Built from config_; stop() joins its readers, which call back into

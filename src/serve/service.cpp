@@ -19,6 +19,21 @@ double elapsed_us(std::chrono::steady_clock::time_point since,
   return std::chrono::duration<double, std::micro>(now - since).count();
 }
 
+/// The kOk answer carrying `solution`, without payments: the one shape
+/// of every cache hit (inline, brown-out, dispatch window) and the base
+/// of every fresh solve's answer.
+ScheduleResponse solved_response(std::uint64_t request_id,
+                                 const dlt::LinearSolution& solution,
+                                 bool cache_hit) {
+  ScheduleResponse response;
+  response.request_id = request_id;
+  response.status = ScheduleStatus::kOk;
+  response.cache_hit = cache_hit;
+  response.alpha = solution.alpha;
+  response.makespan = solution.makespan;
+  return response;
+}
+
 }  // namespace
 
 SchedulerService::SchedulerService(ServiceConfig config,
@@ -54,24 +69,19 @@ void SchedulerService::adopt(std::unique_ptr<Transport> transport) {
 
 bool SchedulerService::try_serve_inline(const ScheduleRequest& request,
                                         ScheduleResponse& response) {
-  if (request.options.want_payments) return false;
   // Deadline accounting is admission-relative and owned by the framed
-  // path; serving such a request inline could answer where handle()
+  // path; serving such a request inline could answer where triage
   // would expire it, so any effective deadline declines the fast path.
-  double deadline_us = request.options.deadline_us;
-  if (deadline_us <= 0.0) deadline_us = config_.default_deadline_us;
-  if (deadline_us > 0.0) return false;
+  if (request.options.want_payments ||
+      effective_deadline_us(request.options.deadline_us) > 0.0) {
+    return false;
+  }
   // A malformed instance is never cached, so it misses here and the
   // framed path produces its kError.
   const SolveCache::Value solution =
       cache_.lookup(canonical_topology_key(request.w, request.z));
   if (!solution) return false;
-  response = ScheduleResponse{};
-  response.request_id = request.request_id;
-  response.status = ScheduleStatus::kOk;
-  response.cache_hit = true;
-  response.alpha = solution->alpha;
-  response.makespan = solution->makespan;
+  response = solved_response(request.request_id, *solution, true);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.inline_hits;
@@ -171,14 +181,9 @@ bool SchedulerService::try_brownout(const Pending& pending) {
   if (!pending.multi && !request.options.want_payments) {
     const codec::Bytes key = canonical_topology_key(request.w, request.z);
     if (const SolveCache::Value solution = cache_.lookup(key)) {
-      ScheduleResponse response;
-      response.request_id = request.request_id;
-      response.status = ScheduleStatus::kOk;
-      response.cache_hit = true;
-      response.alpha = solution->alpha;
-      response.makespan = solution->makespan;
       DLS_COUNT("serve.brownout.cache_hits");
-      respond(*pending.session, std::move(response));
+      respond(*pending.session,
+              solved_response(request.request_id, *solution, true));
       return true;
     }
   }
@@ -274,7 +279,7 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
       if (t < group_count) {
         solve_group(groups[t], *dispatch_scratch_[t], batch, replies);
       } else {
-        SingleTask& task = singles[t - group_count];
+        const SingleTask& task = singles[t - group_count];
         if (batch[task.index].multi) {
           replies[task.index] = handle_multi(batch[task.index]);
         } else {
@@ -323,60 +328,50 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
                                        std::vector<Reply>& replies,
                                        std::vector<SingleTask>& singles,
                                        std::vector<MissGroup>& groups) {
-  if (config_.batch_min_lanes == 0) {
-    // Dispatch-window batching disabled: everything takes the classic
-    // per-request path, untouched.
-    singles.resize(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) singles[i].index = i;
-    return;
-  }
   const auto now = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].multi) {
+    const Pending& pending = batch[i];
+    const bool multi = pending.multi.has_value();
+    // The deadline rule of both traffic kinds: an expired request is
+    // answered here, solver-untouched, and never occupies a lane.
+    const double deadline_us =
+        effective_deadline_us(multi ? pending.multi->deadline_us
+                                    : pending.request.options.deadline_us);
+    if (deadline_us > 0.0 &&
+        elapsed_us(pending.admitted_at, now) > deadline_us) {
+      replies[i] = refusal(multi, pending.id(), ScheduleStatus::kExpired);
+      continue;
+    }
+    if (multi) {
       // Multi-load requests always take the per-request path: the
       // answer depends on the whole load mix, so there is nothing to
       // look up or coalesce with batchmates.
       singles.push_back(SingleTask{i});
       continue;
     }
-    const ScheduleRequest& request = batch[i].request;
-    auto& response = std::get<ScheduleResponse>(replies[i]);
-    response.request_id = request.request_id;
-
-    // Same deadline rule handle() applies before touching the solver:
-    // an expired batchmate is answered here and never occupies a lane.
-    double deadline_us = request.options.deadline_us;
-    if (deadline_us <= 0.0) deadline_us = config_.default_deadline_us;
-    if (deadline_us > 0.0 &&
-        elapsed_us(batch[i].admitted_at, now) > deadline_us) {
-      response.status = ScheduleStatus::kExpired;
-      continue;
-    }
-
-    // Validate exactly as handle() would; invalid instances go to the
-    // single path so their kError response is produced by the same code.
+    const ScheduleRequest& request = pending.request;
     std::optional<net::LinearNetwork> network;
     try {
       network.emplace(request.w, request.z);
-    } catch (const dls::Error&) {
-      singles.push_back(SingleTask{i});
+    } catch (const std::exception& e) {
+      replies[i] = refusal(false, request.request_id, ScheduleStatus::kError,
+                           e.what());
       continue;
     }
 
     codec::Bytes key = canonical_topology_key(request.w, request.z);
-    if (SolveCache::Value solution = cache_.lookup(key)) {
-      if (request.options.want_payments) {
-        // Payments need the mechanism run even on a solution hit; keep
-        // that on the classic path (handing over the hit, network and
-        // key so none of them is built or consulted twice).
-        singles.push_back(SingleTask{i, std::move(network), std::move(key),
-                                     std::move(solution)});
-        continue;
-      }
-      response.status = ScheduleStatus::kOk;
-      response.cache_hit = true;
-      response.alpha = solution->alpha;
-      response.makespan = solution->makespan;
+    SolveCache::Value solution = cache_.lookup(key);
+    if (solution && !request.options.want_payments) {
+      replies[i] = solved_response(request.request_id, *solution, true);
+      continue;
+    }
+    if (solution || config_.batch_min_lanes == 0) {
+      // Payments need the mechanism run even on a solution hit, and with
+      // batching disabled a miss is solved alone: both take handle(),
+      // handing over the network, key and lookup result (null = known
+      // miss) so none of them is built or consulted twice.
+      singles.push_back(SingleTask{i, std::move(network), std::move(key),
+                                   std::move(solution)});
       continue;
     }
 
@@ -493,18 +488,14 @@ void SchedulerService::solve_group(const MissGroup& group,
     solutions[lane] = std::move(solved);
     cache_.insert(group.keys[lane], solutions[lane]);
 
-    auto& response = std::get<ScheduleResponse>(replies[i]);
-    response.status = ScheduleStatus::kOk;
-    response.cache_hit = false;
-    response.alpha = solutions[lane]->alpha;
-    response.makespan = solutions[lane]->makespan;
+    replies[i] = solved_response(request.request_id, *solutions[lane], false);
     if (request.options.want_payments) {
+      auto& response = std::get<ScheduleResponse>(replies[i]);
       try {
         const net::LinearNetwork& network = group.networks[lane];
         const core::DlsLblResult& assessment = core::assess_compliant_from_batch(
             network, scratch.solver, lane, network.processing_times(),
             config_.mechanism, scratch.assess);
-        response.payments.clear();
         response.payments.reserve(assessment.processors.size());
         for (const core::Assessment& a : assessment.processors) {
           response.payments.push_back(a.money.payment);
@@ -518,40 +509,18 @@ void SchedulerService::solve_group(const MissGroup& group,
   }
 
   for (const auto& [i, lane] : group.aliases) {
-    auto& response = std::get<ScheduleResponse>(replies[i]);
-    response.request_id = batch[i].request.request_id;
-    response.status = ScheduleStatus::kOk;
-    response.cache_hit = false;
-    response.alpha = solutions[lane]->alpha;
-    response.makespan = solutions[lane]->makespan;
+    replies[i] =
+        solved_response(batch[i].request.request_id, *solutions[lane], false);
   }
 }
 
 ScheduleResponse SchedulerService::handle(const Pending& pending,
-                                          SingleTask& task) {
+                                          const SingleTask& task) {
   DLS_SPAN("serve.handle");
   const ScheduleRequest& request = pending.request;
-  ScheduleResponse response;
-  response.request_id = request.request_id;
-
-  double deadline_us = request.options.deadline_us;
-  if (deadline_us <= 0.0) deadline_us = config_.default_deadline_us;
-  if (deadline_us > 0.0 &&
-      elapsed_us(pending.admitted_at, std::chrono::steady_clock::now()) >
-          deadline_us) {
-    response.status = ScheduleStatus::kExpired;
-    return response;
-  }
-
   try {
-    SolveCache::Value solution = task.solution;
-    if (!task.network) {
-      task.network.emplace(request.w, request.z);
-      task.key = canonical_topology_key(request.w, request.z);
-      solution = cache_.lookup(task.key);
-    }
     const net::LinearNetwork& network = *task.network;
-    response.cache_hit = solution != nullptr;
+    SolveCache::Value solution = task.solution;
     if (!solution) {
       auto solved = std::make_shared<dlt::LinearSolution>();
       dlt::solve_linear_boundary_into(network, *solved,
@@ -559,8 +528,8 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
       solution = std::move(solved);
       cache_.insert(task.key, solution);
     }
-    response.alpha = solution->alpha;
-    response.makespan = solution->makespan;
+    ScheduleResponse response = solved_response(
+        request.request_id, *solution, task.solution != nullptr);
     if (request.options.want_payments) {
       // Payments come from the very allocation just answered: one
       // Algorithm 1 run per paid request, none on a cache hit.
@@ -574,14 +543,13 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
       }
       response.total_payment = assessment.total_payment;
     }
-    response.status = ScheduleStatus::kOk;
+    return response;
   } catch (const std::exception& e) {
     // Typed (dls::Error) or untyped (e.g. bad_alloc) failure: refuse
     // rather than unwind into the dispatcher thread and kill the service.
     return std::get<ScheduleResponse>(refusal(
         false, request.request_id, ScheduleStatus::kError, e.what()));
   }
-  return response;
 }
 
 MultiScheduleResponse SchedulerService::handle_multi(const Pending& pending) {
@@ -589,18 +557,6 @@ MultiScheduleResponse SchedulerService::handle_multi(const Pending& pending) {
   const MultiScheduleRequest& request = *pending.multi;
   MultiScheduleResponse response;
   response.request_id = request.request_id;
-
-  double deadline_us = request.deadline_us;
-  if (deadline_us <= 0.0) deadline_us = config_.default_deadline_us;
-  if (deadline_us > 0.0 &&
-      elapsed_us(pending.admitted_at, std::chrono::steady_clock::now()) >
-          deadline_us) {
-    // Expired before dispatch: answered without scheduling a single
-    // installment, exactly like the single-load deadline rule.
-    response.status = ScheduleStatus::kExpired;
-    return response;
-  }
-
   try {
     const net::LinearNetwork network(request.w, request.z);
     std::vector<multiload::LoadSpec> specs;

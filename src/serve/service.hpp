@@ -202,10 +202,11 @@ class SchedulerService {
     core::AssessWorkspace assess;
   };
 
-  /// A request routed to the per-request path. When classification
-  /// already validated the instance (`network` set), its cache key and
-  /// lookup result ride along so handle() neither rebuilds them nor
-  /// looks up (and counts) a second time.
+  /// A request routed to the per-request path. For single-load traffic
+  /// triage already validated the instance (`network` set) and its cache
+  /// key and lookup result ride along, so handle() neither rebuilds them
+  /// nor looks up (and counts) a second time; multi-load tasks carry the
+  /// index alone.
   struct SingleTask {
     std::size_t index = 0;
     std::optional<net::LinearNetwork> network;
@@ -213,11 +214,13 @@ class SchedulerService {
     SolveCache::Value solution;  ///< null = known miss
   };
 
-  /// Dispatcher-thread triage of one window: answers expired requests
-  /// and payment-free cache hits in place (into `responses`), groups
-  /// batchable cache misses by chain length, and routes everything else
-  /// (validation failures, cache hits wanting payments, leftovers of
-  /// undersized groups) to `singles` for the classic handle() path.
+  /// Dispatcher-thread triage of one window, the one pass every
+  /// admitted request goes through: answers expired requests of both
+  /// kinds, invalid instances (kError) and payment-free cache hits in
+  /// place (into `replies`), groups batchable cache misses by chain
+  /// length, and routes everything else (multi-load requests, cache hits
+  /// wanting payments, misses with batching disabled, leftovers of
+  /// undersized groups) to `singles` for handle() / handle_multi().
   void classify_window(const std::vector<Pending>& batch,
                        std::vector<Reply>& replies,
                        std::vector<SingleTask>& singles,
@@ -229,20 +232,23 @@ class SchedulerService {
   void solve_group(const MissGroup& group, DispatchScratch& scratch,
                    const std::vector<Pending>& batch,
                    std::vector<Reply>& replies);
-  /// Solves (or refuses) one admitted request; pure apart from cache
-  /// and metric updates, so batch items run concurrently on the pool.
-  /// Builds the network and key into `task` unless classification
-  /// already did, so every request is validated, keyed and looked up
-  /// exactly once; payments reuse the one solution, cached or fresh.
-  ScheduleResponse handle(const Pending& pending, SingleTask& task);
-  /// Solves (or refuses) one admitted multi-load request via
-  /// multiload::MultiLoadSolver; expired requests are answered without
-  /// scheduling a single installment.
+  /// Solves (or refuses) one triaged request; pure apart from cache and
+  /// metric updates, so batch items run concurrently on the pool. Solves
+  /// only a known miss; payments reuse the one solution, cached or fresh.
+  ScheduleResponse handle(const Pending& pending, const SingleTask& task);
+  /// Solves (or refuses) one triaged multi-load request via
+  /// multiload::MultiLoadSolver.
   MultiScheduleResponse handle_multi(const Pending& pending);
-  /// The typed refusal both traffic kinds share (shed, degraded, stop
-  /// drain, batch failure, decode error, unexpected frame type): status
-  /// and text — plus the configured retry-after hint for kDegraded — in
-  /// the response type of the request's kind.
+  /// A request's deadline (µs) after defaulting: its own when positive,
+  /// else ServiceConfig::default_deadline_us; <= 0 means none.
+  double effective_deadline_us(double requested) const {
+    return requested <= 0.0 ? config_.default_deadline_us : requested;
+  }
+  /// The typed refusal both traffic kinds share (shed, degraded, expiry,
+  /// invalid instance, stop drain, batch failure, decode error,
+  /// unexpected frame type): status and text — plus the configured
+  /// retry-after hint for kDegraded — in the response type of the
+  /// request's kind.
   Reply refusal(bool multi, std::uint64_t request_id, ScheduleStatus status,
                 std::string error = {}) const;
   /// Counts `reply` by status and writes it to `session` as one frame.

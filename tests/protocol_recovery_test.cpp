@@ -194,8 +194,8 @@ TEST(RunProtocolFt, AnySingleCrashIsDetectedSettledAndRecovered) {
   const LinearNetwork net = test_network();
   for (std::size_t k = 1; k < net.size(); ++k) {
     for (const double fraction : {0.1, 0.5, 0.9}) {
-      SCOPED_TRACE("P" + std::to_string(k) + " crashing at " +
-                   std::to_string(fraction));
+      SCOPED_TRACE(std::string("P").append(std::to_string(k)) +
+                   " crashing at " + std::to_string(fraction));
       const FtRunReport ft = run_ft(FaultPlan{}.crash_at_work(k, fraction));
 
       // The protocol completes and survivors absorb the full load.

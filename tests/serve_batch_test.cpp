@@ -2,8 +2,9 @@
 // cache-miss solves return responses bit-identical to unbatched ones,
 // expired batchmates are refused without blocking the rest of their
 // window, duplicate topologies are answered from one lane, payments
-// through the batch path match the scalar assessment, and the kShed /
-// kDegraded / cache-hit behaviours are unchanged with batching on.
+// through the batch path match the scalar assessment, the kShed /
+// kDegraded / cache-hit behaviours are unchanged with batching on, and
+// with it off expired and malformed requests get the same refusals.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -271,23 +272,46 @@ TEST(ServeBatchTest, WarmCacheHitsBypassTheBatchSolver) {
 }
 
 TEST(ServeBatchTest, BatchingDisabledLeavesClassicPath) {
-  ServiceConfig config = paused_batching_config();
-  config.batch_min_lanes = 0;  // off
-  SchedulerService service(config);
-  PipeEnd end = service.connect();
   std::vector<ScheduleRequest> requests;
   for (std::uint64_t id = 1; id <= 4; ++id) {
     requests.push_back(make_request(id, 0.5 * static_cast<double>(id)));
   }
-  const std::vector<ScheduleResponse> responses =
-      run_window(service, end, requests);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    expect_matches_direct_solve(responses[i], requests[i]);
+  requests.push_back(make_request(5, 3.0));
+  requests.back().options.deadline_us = 1000.0;  // expires while paused
+  requests.push_back(make_request(6, 1.0));
+  requests.back().w[1] = -1.0;  // malformed: a negative processing time
+
+  const auto run = [&](std::size_t batch_min_lanes, ServiceStats& stats) {
+    ServiceConfig config = paused_batching_config();
+    config.batch_min_lanes = batch_min_lanes;
+    SchedulerService service(config);
+    PipeEnd end = service.connect();
+    std::vector<ScheduleResponse> responses =
+        run_window(service, end, requests);
+    stats = service.stats();
+    return responses;
+  };
+  ServiceStats off_stats;
+  ServiceStats on_stats;
+  const std::vector<ScheduleResponse> off = run(0, off_stats);
+  const std::vector<ScheduleResponse> on = run(2, on_stats);
+  for (std::size_t i = 0; i < 4; ++i) {
+    expect_matches_direct_solve(off[i], requests[i]);
   }
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.ok, 4u);
-  EXPECT_EQ(stats.batched, 0u);
-  EXPECT_EQ(stats.batch_groups, 0u);
+  EXPECT_EQ(off[4].status, ScheduleStatus::kExpired);
+  EXPECT_EQ(off[5].status, ScheduleStatus::kError);
+  EXPECT_FALSE(off[5].error.empty());
+  for (std::size_t i = 4; i < requests.size(); ++i) {
+    EXPECT_EQ(off[i].request_id, requests[i].request_id);
+    EXPECT_EQ(off[i].status, on[i].status);
+    EXPECT_EQ(off[i].error, on[i].error);
+  }
+  EXPECT_EQ(off_stats.ok, 4u);
+  EXPECT_EQ(off_stats.expired, 1u);
+  EXPECT_EQ(off_stats.errors, 1u);
+  EXPECT_EQ(off_stats.batched, 0u);
+  EXPECT_EQ(off_stats.batch_groups, 0u);
+  EXPECT_EQ(on_stats.batched, 4u);
 }
 
 }  // namespace

@@ -236,7 +236,8 @@ TEST(FrameTest, VersionMismatchCarriesThePeersVersion) {
       Frame{FrameType::kScheduleRequest, bytes_of({1, 2})});
   // v1/v2 peers during a rollout, plus a from-the-future version: the
   // typed error must report exactly what the peer announced.
-  for (const std::uint8_t version : {0x00, 0x01, 0x02, 0x7F}) {
+  const std::uint8_t versions[] = {0x00, 0x01, 0x02, 0x7F};
+  for (const std::uint8_t version : versions) {
     Bytes bad_version = good;
     bad_version[4] = version;
     try {

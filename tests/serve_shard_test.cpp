@@ -1,9 +1,10 @@
 // ShardMap + ShardRouter unit coverage: consistent-hash stability (a
 // death moves only the dead shard's arc), replication owner walks,
-// routed solves with warm inline hits, quorum divergence surfacing as
-// a typed incident, the byte-wise quorum compare with its id-patched
-// forward and relay, backpressure merging, and heartbeat-budget death
-// detection with monitor-probe revival.
+// routed solves with warm inline hits, replays of inline answers under
+// any request id, quorum divergence surfacing as a typed incident, the
+// byte-wise quorum compare with its id-patched forward and relay,
+// backpressure merging, and heartbeat-budget death detection with
+// monitor-probe revival.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -304,6 +305,70 @@ ScheduleResponse ok_response(double makespan) {
   response.alpha = {0.6, 0.4};
   response.makespan = makespan;
   return response;
+}
+
+TEST(ShardRouterTest, ReplayAnswersRepeatsUnderAnyId) {
+  // After an inline hit, the replay byte-cache answers every repeat of
+  // that request, under a fresh id or its own (an idempotent retry),
+  // with the inline answer's frame bytes and only the echoed id
+  // patched. Answers that are not a pure function of the request bytes
+  // (payments, deadlines) are never replayed.
+  Federation fed(3);
+  PipeEnd end = fed.router->connect();
+  ScheduleRequest request;
+  request.w = {1.0, 1.2, 0.9, 1.1};
+  request.z = {0.15, 0.1, 0.2};
+
+  request.request_id = 1;
+  const ScheduleResponse cold =
+      dls::serve::decode_schedule_response(round_trip(end, request));
+  ASSERT_EQ(cold.status, ScheduleStatus::kOk) << cold.error;
+  EXPECT_FALSE(cold.cache_hit);
+  request.request_id = 2;
+  const Bytes inline_answer = round_trip(end, request);
+  RouterStats stats = fed.router->stats();
+  EXPECT_EQ(stats.inline_hits, 1u);
+  EXPECT_EQ(stats.replayed, 0u);
+
+  const auto expect_replayed_frame = [&](std::uint64_t id) {
+    request.request_id = id;
+    dls::serve::write_frame(
+        end, Frame{FrameType::kScheduleRequest,
+                   dls::serve::encode_schedule_request(request)});
+    Bytes patched = inline_answer;
+    dls::serve::patch_schedule_response_id(patched, id);
+    const Bytes expected = dls::serve::encode_frame(
+        Frame{FrameType::kScheduleResponse, std::move(patched)});
+    Bytes got(expected.size());
+    ASSERT_TRUE(end.read_partial(got, /*timeout_s=*/5.0).complete);
+    EXPECT_EQ(got, expected) << "request id " << id;
+  };
+  expect_replayed_frame(3);  // a fresh id
+  expect_replayed_frame(3);  // the exact same frame again
+  stats = fed.router->stats();
+  EXPECT_EQ(stats.replayed, 2u);
+  EXPECT_EQ(stats.inline_hits, 1u);
+
+  ScheduleRequest paid = request;
+  paid.options.want_payments = true;
+  ScheduleRequest timed = request;
+  timed.options.deadline_us = 1e6;
+  std::uint64_t id = 4;
+  for (ScheduleRequest* changed : {&paid, &timed, &paid, &timed}) {
+    changed->request_id = id++;
+    const ScheduleResponse answer =
+        dls::serve::decode_schedule_response(round_trip(end, *changed));
+    EXPECT_EQ(answer.status, ScheduleStatus::kOk) << answer.error;
+    EXPECT_EQ(answer.request_id, changed->request_id);
+    EXPECT_EQ(answer.alpha, cold.alpha);
+    EXPECT_EQ(answer.payments.empty(), changed == &timed);
+  }
+  stats = fed.router->stats();
+  EXPECT_EQ(stats.replayed, 2u);
+  EXPECT_EQ(stats.inline_hits, 1u);
+  EXPECT_EQ(stats.received, 8u);
+  EXPECT_EQ(stats.answered_ok, 8u);
+  end.close();
 }
 
 TEST(ShardRouterTest, QuorumDivergenceIsATypedIncidentNeverAnAnswer) {
