@@ -156,8 +156,11 @@ void ThreadPool::run_chunks(Job& job, std::size_t self) {
   while (pop_or_steal(job, self, chunk)) {
     bool run = true;
     {
+      // After a throw, chunks below the lowest failing one still run:
+      // one of them may throw too, and the rethrown error must be the
+      // lowest chunk that throws, not whichever failed first.
       const std::scoped_lock state(job.state_mutex);
-      run = !job.cancelled;
+      run = !job.cancelled || chunk.begin < job.error_begin;
     }
     if (run) {
       // Scoped so the event is recorded before the chunks_remaining

@@ -16,8 +16,9 @@
 //     never blocks on a sleeping pool;
 //   * results must be index-owned (body(i) writes only slot i), which
 //     makes every sweep bit-identical at any worker count;
-//   * the first exception (lowest chunk start among those that threw)
-//     cancels the remaining chunks and is rethrown on the caller.
+//   * an exception cancels every chunk above the lowest one that threw;
+//     chunks below it still run, so the error rethrown on the caller is
+//     the one from the lowest chunk that throws, whatever the timing.
 #pragma once
 
 #include <condition_variable>

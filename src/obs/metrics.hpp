@@ -147,6 +147,38 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
+/// A count owned by one object (a service, a router, a cache) that is
+/// also mirrored into the process-wide registry counter `name`:
+///
+///   obs::InstanceCounter shed_{"serve.responses.shed"};
+///   shed_.add();                       // one line per event
+///   stats.shed = shed_.value();        // this instance only
+///
+/// The instance count always runs, whatever obs::active() says, so
+/// per-object stats stay exact with the runtime switch off. The mirror
+/// follows the switch like any registry counter, sums every instance
+/// of the same name, and compiles out at DLS_OBS_LEVEL=0.
+class InstanceCounter {
+ public:
+  explicit InstanceCounter(std::string_view name)
+      : mirror_(compiled(1) ? &MetricsRegistry::global().counter(name)
+                            : nullptr) {}
+  InstanceCounter(const InstanceCounter&) = delete;
+  InstanceCounter& operator=(const InstanceCounter&) = delete;
+
+  void add(std::uint64_t n = 1) noexcept {
+    value_.fetch_add(n, std::memory_order_relaxed);
+    if constexpr (compiled(1)) mirror_->add(n);
+  }
+  std::uint64_t value() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> value_{0};
+  Counter* mirror_;
+};
+
 }  // namespace dls::obs
 
 // One-line instrumentation helpers. The registry lookup happens once

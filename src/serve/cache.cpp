@@ -1,7 +1,5 @@
 #include "serve/cache.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace dls::serve {
 
 SolveCache::SolveCache(std::size_t capacity) : capacity_(capacity) {}
@@ -10,13 +8,11 @@ SolveCache::Value SolveCache::lookup(const codec::Bytes& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(view_of(key));
   if (it == index_.end()) {
-    ++misses_;
-    DLS_COUNT("serve.cache.misses");
+    misses_.add();
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
-  ++hits_;
-  DLS_COUNT("serve.cache.hits");
+  hits_.add();
   return it->second->value;
 }
 
@@ -33,8 +29,7 @@ void SolveCache::insert(const codec::Bytes& key, Value value) {
     const Entry& victim = lru_.back();
     index_.erase(std::string_view(victim.key));
     lru_.pop_back();
-    ++evictions_;
-    DLS_COUNT("serve.cache.evictions");
+    evictions_.add();
   }
   lru_.push_front(Entry{std::string(view_of(key)), std::move(value)});
   index_.emplace(std::string_view(lru_.front().key), lru_.begin());
@@ -43,21 +38,6 @@ void SolveCache::insert(const codec::Bytes& key, Value value) {
 std::size_t SolveCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return lru_.size();
-}
-
-std::uint64_t SolveCache::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t SolveCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::uint64_t SolveCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
 }
 
 }  // namespace dls::serve

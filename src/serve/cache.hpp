@@ -7,9 +7,10 @@
 // and nothing else); values are shared immutable solutions, so a hit
 // costs one map lookup and a list splice while the solver stays cold.
 //
-// Thread-safe: every operation takes the internal mutex. Hit/miss/evict
-// counts are kept locally (readable regardless of the obs runtime
-// switch) and mirrored into the serve.cache.* metrics.
+// Thread-safe: every map operation takes the internal mutex. Hit/miss/
+// evict counts are per-instance obs::InstanceCounters (readable
+// regardless of the obs runtime switch, without the mutex) mirrored
+// into the serve.cache.* metrics.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 
 #include "codec/bytes.hpp"
 #include "dlt/linear.hpp"
+#include "obs/metrics.hpp"
 
 namespace dls::serve {
 
@@ -44,9 +46,9 @@ class SolveCache {
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const;
 
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
+  std::uint64_t hits() const noexcept { return hits_.value(); }
+  std::uint64_t misses() const noexcept { return misses_.value(); }
+  std::uint64_t evictions() const noexcept { return evictions_.value(); }
 
  private:
   struct Entry {
@@ -63,9 +65,9 @@ class SolveCache {
   mutable std::mutex mutex_;
   EntryList lru_;  ///< front = most recently used
   std::unordered_map<std::string_view, EntryList::iterator> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
+  obs::InstanceCounter hits_{"serve.cache.hits"};
+  obs::InstanceCounter misses_{"serve.cache.misses"};
+  obs::InstanceCounter evictions_{"serve.cache.evictions"};
 };
 
 }  // namespace dls::serve

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "obs/obs.hpp"
 
 namespace dls::serve {
 
@@ -61,34 +60,12 @@ ChaosTransport::ChaosTransport(std::unique_ptr<Transport> inner,
 }
 
 void ChaosTransport::note(FaultKind kind) {
-  // Callers hold mutex_. The obs counters mirror stats_ so soak traces
-  // show injections alongside breaker and degradation activity.
-  ++stats_.injected[static_cast<std::size_t>(kind)];
-  switch (kind) {
-    case FaultKind::kPartialWrite:
-      DLS_COUNT("serve.fault.partial_write");
-      break;
-    case FaultKind::kTruncate:
-      DLS_COUNT("serve.fault.truncate");
-      break;
-    case FaultKind::kCorrupt:
-      DLS_COUNT("serve.fault.corrupt");
-      break;
-    case FaultKind::kDelay:
-      DLS_COUNT("serve.fault.delay");
-      break;
-    case FaultKind::kDisconnect:
-      DLS_COUNT("serve.fault.disconnect");
-      break;
-    case FaultKind::kDuplicate:
-      DLS_COUNT("serve.fault.duplicate");
-      break;
-  }
+  injected_[static_cast<std::size_t>(kind)].add();
 }
 
 ChaosTransport::WritePlan ChaosTransport::plan_write(std::size_t size) {
   WritePlan plan;
-  ++stats_.writes;
+  writes_.add();
   if (rng_.bernoulli(config_.disconnect)) {
     plan.disconnect = true;
     note(FaultKind::kDisconnect);
@@ -173,7 +150,7 @@ void ChaosTransport::apply_read_faults(std::span<std::uint8_t> got) {
   double delay_us = 0.0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.reads;
+    reads_.add();
     if (!got.empty() && rng_.bernoulli(config_.read_corrupt)) {
       corrupt = true;
       byte = static_cast<std::size_t>(
@@ -239,8 +216,13 @@ void ChaosTransport::close() noexcept { inner_->close(); }
 bool ChaosTransport::valid() const noexcept { return inner_->valid(); }
 
 FaultStats ChaosTransport::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  FaultStats stats;
+  for (std::size_t k = 0; k < kFaultKindCount; ++k) {
+    stats.injected[k] = injected_[k].value();
+  }
+  stats.writes = writes_.value();
+  stats.reads = reads_.value();
+  return stats;
 }
 
 }  // namespace dls::serve

@@ -23,8 +23,9 @@
 // on an internal mutex; injected sleeps happen outside it.
 //
 // Metrics: serve.fault.{partial_write,truncate,corrupt,delay,
-// disconnect,duplicate} count injections (per-instance FaultStats
-// mirrors them without the obs runtime switch).
+// disconnect,duplicate} count injections and serve.chaos.{writes,reads}
+// the calls that reached the wrapper; each is a per-instance counter,
+// read back through stats() without the obs runtime switch.
 #pragma once
 
 #include <array>
@@ -37,6 +38,7 @@
 #include <utility>
 
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "serve/pipe.hpp"
 #include "serve/transport.hpp"
 
@@ -81,7 +83,7 @@ struct ChaosConfig {
 struct FaultStats {
   std::array<std::uint64_t, kFaultKindCount> injected{};
   std::uint64_t writes = 0;  ///< write() calls that reached the wrapper
-  std::uint64_t reads = 0;   ///< read_exact/read_partial calls
+  std::uint64_t reads = 0;   ///< reads that delivered bytes
 
   std::uint64_t count(FaultKind kind) const noexcept {
     return injected[static_cast<std::size_t>(kind)];
@@ -140,8 +142,18 @@ class ChaosTransport final : public Transport {
   ChaosConfig config_;
   mutable std::mutex mutex_;
   common::Rng rng_;
-  FaultStats stats_;
   bool first_read_pending_ = true;
+
+  /// Indexed by FaultKind; mirrored into serve.fault.<kind>.
+  std::array<obs::InstanceCounter, kFaultKindCount> injected_{
+      obs::InstanceCounter("serve.fault.partial_write"),
+      obs::InstanceCounter("serve.fault.truncate"),
+      obs::InstanceCounter("serve.fault.corrupt"),
+      obs::InstanceCounter("serve.fault.delay"),
+      obs::InstanceCounter("serve.fault.disconnect"),
+      obs::InstanceCounter("serve.fault.duplicate")};
+  obs::InstanceCounter writes_{"serve.chaos.writes"};
+  obs::InstanceCounter reads_{"serve.chaos.reads"};
 };
 
 }  // namespace dls::serve

@@ -27,6 +27,8 @@ ShardRouter::ShardRouter(RouterConfig config)
       map_(config_.shard_count, ShardMapConfig{config_.vnodes}),
       consecutive_failures_(config_.shard_count, 0),
       probe_attempts_(config_.shard_count, 0),
+      replay_(config_.replay_cache_capacity > 0 &&
+              config_.replication == 1 && !config_.local.empty()),
       sessions_(config_.poison_budget, config_.resync_scan_bytes,
                 [this](FrameSession& session, const Frame& frame) {
                   on_frame(static_cast<Session*>(&session), frame);
@@ -79,11 +81,23 @@ void ShardRouter::stop() {
 }
 
 RouterStats ShardRouter::stats() const {
+  const Counters& c = counters_;
   RouterStats stats;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats = stats_;
-  }
+  stats.received = c.received.value();
+  stats.inline_hits = c.inline_hits.value();
+  stats.replayed = c.replayed.value();
+  stats.forwarded = c.forwarded.value();
+  stats.forward_failures = c.forward_failures.value();
+  stats.answered_ok = c.answered_ok.value();
+  stats.refused = c.refused.value();
+  stats.no_owner = c.no_owner.value();
+  stats.quorum_agreed = c.quorum_agreed.value();
+  stats.quorum_divergence = c.quorum_divergence.value();
+  stats.quorum_checked = stats.quorum_agreed + stats.quorum_divergence;
+  stats.quorum_single = c.quorum_single.value();
+  stats.shard_deaths = c.shard_deaths.value();
+  stats.shard_revivals = c.shard_revivals.value();
+  stats.rebalances = stats.shard_deaths + stats.shard_revivals;
   stats.poison_frames = sessions_.poison_frames();
   stats.quarantined = sessions_.quarantined();
   return stats;
@@ -109,21 +123,7 @@ void ShardRouter::set_alive(std::size_t shard, bool alive) {
     }
   }
   if (!flipped) return;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.rebalances;
-    if (alive) {
-      ++stats_.shard_revivals;
-    } else {
-      ++stats_.shard_deaths;
-    }
-  }
-  DLS_COUNT("serve.shard.rebalances");
-  if (alive) {
-    DLS_COUNT("serve.shard.revivals");
-  } else {
-    DLS_COUNT("serve.shard.deaths");
-  }
+  (alive ? counters_.shard_revivals : counters_.shard_deaths).add();
   health_cv_.notify_all();
 }
 
@@ -139,10 +139,7 @@ void ShardRouter::on_frame(Session* session, const Frame& frame) {
   // Replay fast path: a payload byte-identical (modulo id) to one
   // already answered inline replays the cached encoding before any
   // decode work happens.
-  if (config_.replay_cache_capacity > 0 &&
-      try_replay(session, frame.payload)) {
-    return;
-  }
+  if (replay_ && try_replay(session, frame.payload)) return;
   ScheduleRequest request;
   try {
     request = decode_schedule_request(frame.payload);
@@ -153,11 +150,7 @@ void ShardRouter::on_frame(Session* session, const Frame& frame) {
     send_response(session, refusal);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.received;
-  }
-  DLS_COUNT("serve.shard.requests");
+  counters_.received.add();
   handle_request(session, request, frame.payload);
 }
 
@@ -174,13 +167,8 @@ bool ShardRouter::try_replay(Session* session,
     if (it == replay_cache_.end()) return false;
     encoded = it->second;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.received;
-    ++stats_.replayed;
-  }
-  DLS_COUNT("serve.shard.requests");
-  DLS_COUNT("serve.shard.replays");
+  counters_.received.add();
+  counters_.replayed.add();
   // The cached answer is a pure function of the bytes after the id, so
   // only the echoed id differs between repeats, a same-id retry included.
   patch_schedule_response_id(encoded, schedule_request_id(payload));
@@ -225,11 +213,7 @@ void ShardRouter::handle_request(Session* session,
     refusal.status = ScheduleStatus::kDegraded;
     refusal.error = "no alive shard owns this key";
     refusal.retry_after_us = config_.degraded_retry_after_us;
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.no_owner;
-    }
-    DLS_COUNT("serve.shard.no_owner");
+    counters_.no_owner.add();
     send_response(session, refusal);
     return;
   }
@@ -240,18 +224,14 @@ void ShardRouter::handle_request(Session* session,
     SchedulerService* local = config_.local[owners[0]];
     ScheduleResponse response;
     if (local != nullptr && local->try_serve_inline(request, response)) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.inline_hits;
-      }
-      DLS_COUNT("serve.shard.inline_hits");
+      counters_.inline_hits.add();
       // Encode once: the payload answers this client AND seeds the
       // replay byte-cache, so the next identical request skips decode
       // and encode entirely. Only inline answers (payment-free,
       // deadline-free cache hits) ever populate it, which keeps replays
       // safe.
       codec::Bytes encoded = encode_schedule_response(response);
-      if (config_.replay_cache_capacity > 0) store_replay(payload, encoded);
+      if (replay_) store_replay(payload, encoded);
       write_response(session, /*ok=*/true, std::move(encoded));
       return;
     }
@@ -291,11 +271,7 @@ ShardRouter::ForwardResult ShardRouter::forward(
     }
   }
   const std::uint64_t link_id = session->backend_next_id[shard]++;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.forwarded;
-  }
-  DLS_COUNT("serve.shard.forwarded");
+  counters_.forwarded.add();
   try {
     // The client's payload already decoded and validated; only the
     // per-link id differs, so patch it rather than re-encode.
@@ -347,21 +323,12 @@ void ShardRouter::merge(Session* session, std::uint64_t request_id,
           break;
         }
       }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.quorum_checked;
-        if (diverged) {
-          ++stats_.quorum_divergence;
-        } else {
-          ++stats_.quorum_agreed;
-        }
-      }
       if (diverged) {
         // A typed incident, never a silently-chosen answer: replicas
         // disagreeing on a deterministic solve means corruption or a
         // miscomputing shard — the distributed twin of the src/check/
         // contract auditors.
-        DLS_COUNT("serve.quorum.divergence");
+        counters_.quorum_divergence.add();
         ScheduleResponse incident;
         incident.request_id = request_id;
         incident.status = ScheduleStatus::kError;
@@ -370,10 +337,9 @@ void ShardRouter::merge(Session* session, std::uint64_t request_id,
         send_response(session, incident);
         return;
       }
-      DLS_COUNT("serve.quorum.agreed");
+      counters_.quorum_agreed.add();
     } else {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.quorum_single;
+      counters_.quorum_single.add();
     }
     // Relay the first replica's own bytes under the client's id. A
     // lone kOk reply that encodes its magic non-canonically has no id
@@ -432,14 +398,7 @@ void ShardRouter::send_response(Session* session,
 
 void ShardRouter::write_response(Session* session, bool ok,
                                  codec::Bytes payload) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (ok) {
-      ++stats_.answered_ok;
-    } else {
-      ++stats_.refused;
-    }
-  }
+  (ok ? counters_.answered_ok : counters_.refused).add();
   try {
     write_frame(*session->end,
                 Frame{FrameType::kScheduleResponse, std::move(payload)});
@@ -449,11 +408,7 @@ void ShardRouter::write_response(Session* session, bool ok,
 }
 
 void ShardRouter::note_forward_failure(std::size_t shard) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.forward_failures;
-  }
-  DLS_COUNT("serve.shard.forward_failures");
+  counters_.forward_failures.add();
   bool exhausted = false;
   {
     std::lock_guard<std::mutex> lock(health_mutex_);

@@ -45,6 +45,7 @@
 
 #include "codec/bytes.hpp"
 
+#include "obs/metrics.hpp"
 #include "protocol/recovery.hpp"
 #include "serve/pipe.hpp"
 #include "serve/service.hpp"
@@ -98,12 +99,16 @@ struct RouterConfig {
   /// the only traffic whose response is a pure function of the request
   /// bytes. Keying on the rest of the payload means any change to the
   /// round tag, deadline, payments flag or topology misses and takes the
-  /// full path. Bounded, FIFO-evicted.
+  /// full path. Bounded, FIFO-evicted. Only that inline path can fill
+  /// it, so the tier exists (and requests are looked up in it) only when
+  /// `replication == 1` and `local` is non-empty; otherwise this is
+  /// ignored.
   std::size_t replay_cache_capacity = 128;
 };
 
 /// Transport-independent routing counts (kept regardless of the obs
-/// runtime switch).
+/// runtime switch). Each is a per-instance counter mirrored into one
+/// registry metric (ShardRouter::Counters) or, where noted, a sum.
 struct RouterStats {
   std::uint64_t received = 0;      ///< well-formed requests read
   std::uint64_t inline_hits = 0;   ///< answered from a colocated cache
@@ -114,13 +119,13 @@ struct RouterStats {
   std::uint64_t answered_ok = 0;   ///< kOk answers returned to clients
   std::uint64_t refused = 0;       ///< typed non-kOk answers returned
   std::uint64_t no_owner = 0;      ///< no alive shard owned the key
-  std::uint64_t quorum_checked = 0;    ///< merges with >= 2 kOk answers
+  std::uint64_t quorum_checked = 0;    ///< sum: agreed + divergence
   std::uint64_t quorum_agreed = 0;     ///< all compared answers matched
   std::uint64_t quorum_divergence = 0; ///< mismatch → typed incident
   std::uint64_t quorum_single = 0;     ///< lone kOk accepted unchecked
-  std::uint64_t shard_deaths = 0;      ///< retry budget exhausted
-  std::uint64_t shard_revivals = 0;    ///< monitor probe reconnected
-  std::uint64_t rebalances = 0;        ///< liveness edges (death+revival)
+  std::uint64_t shard_deaths = 0;      ///< marked dead
+  std::uint64_t shard_revivals = 0;    ///< marked alive again
+  std::uint64_t rebalances = 0;        ///< sum: deaths + revivals
   std::uint64_t poison_frames = 0;     ///< client frames recovered via resync
                                        ///< or failing their checksum
   std::uint64_t quarantined = 0;       ///< client connections closed for
@@ -221,8 +226,28 @@ class ShardRouter {
   std::condition_variable health_cv_;
   bool stopping_ = false;
 
-  mutable std::mutex stats_mutex_;
-  RouterStats stats_;
+  /// One counter per RouterStats field that is not a sum, named after
+  /// its metric; stats() reads them back.
+  struct Counters {
+    obs::InstanceCounter received{"serve.shard.requests"};
+    obs::InstanceCounter inline_hits{"serve.shard.inline_hits"};
+    obs::InstanceCounter replayed{"serve.shard.replays"};
+    obs::InstanceCounter forwarded{"serve.shard.forwarded"};
+    obs::InstanceCounter forward_failures{"serve.shard.forward_failures"};
+    obs::InstanceCounter answered_ok{"serve.shard.answered_ok"};
+    obs::InstanceCounter refused{"serve.shard.refused"};
+    obs::InstanceCounter no_owner{"serve.shard.no_owner"};
+    obs::InstanceCounter quorum_agreed{"serve.quorum.agreed"};
+    obs::InstanceCounter quorum_divergence{"serve.quorum.divergence"};
+    obs::InstanceCounter quorum_single{"serve.quorum.single"};
+    obs::InstanceCounter shard_deaths{"serve.shard.deaths"};
+    obs::InstanceCounter shard_revivals{"serve.shard.revivals"};
+  };
+  Counters counters_;
+
+  /// The replay tier is on: RouterConfig::replay_cache_capacity > 0 and
+  /// the colocated inline path that fills it can run.
+  const bool replay_;
 
   /// Heterogeneous-lookup hash so replay lookups hash the raw payload
   /// suffix without materialising a std::string first.

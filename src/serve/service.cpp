@@ -82,11 +82,7 @@ bool SchedulerService::try_serve_inline(const ScheduleRequest& request,
       cache_.lookup(canonical_topology_key(request.w, request.z));
   if (!solution) return false;
   response = solved_response(request.request_id, *solution, true);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.inline_hits;
-  }
-  DLS_COUNT("serve.inline_hits");
+  counters_.inline_hits.add();
   return true;
 }
 
@@ -119,13 +115,23 @@ void SchedulerService::stop() {
 }
 
 ServiceStats SchedulerService::stats() const {
+  const Counters& c = counters_;
   ServiceStats stats;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats = stats_;
-  }
+  stats.received = c.received.value();
+  stats.admitted = c.admitted.value();
+  stats.ok = c.ok.value();
+  stats.shed = c.shed.value();
+  stats.expired = c.expired.value();
+  stats.errors = c.errors.value();
+  stats.degraded = c.degraded.value();
   stats.poison_frames = sessions_.poison_frames();
   stats.quarantined = sessions_.quarantined();
+  stats.batch_deduped = c.batch_deduped.value();
+  stats.batched = c.batch_lanes.value() + stats.batch_deduped;
+  stats.batch_groups = c.batch_groups.value();
+  stats.inline_hits = c.inline_hits.value();
+  stats.multi_received = c.multi_received.value();
+  stats.multi_loads = c.multi_loads.value();
   return stats;
 }
 
@@ -150,16 +156,8 @@ void SchedulerService::on_frame(FrameSession& session, const Frame& frame) {
     respond(session, refusal(multi, 0, ScheduleStatus::kError, e.what()));
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.received;
-    if (multi) ++stats_.multi_received;
-  }
-  if (multi) {
-    DLS_COUNT("serve.multi.requests");
-  } else {
-    DLS_COUNT("serve.requests");
-  }
+  counters_.received.add();
+  if (multi) counters_.multi_received.add();
   admit(std::move(pending));
 }
 
@@ -204,10 +202,7 @@ void SchedulerService::admit(Pending pending) {
       pending.admitted_at = std::chrono::steady_clock::now();
       queue_.push_back(std::move(pending));
       DLS_GAUGE_MAX("serve.queue_depth", static_cast<double>(queue_.size()));
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.admitted;
-      }
+      counters_.admitted.add();
       queue_cv_.notify_one();
       return;
     }
@@ -453,17 +448,9 @@ void SchedulerService::solve_group(const MissGroup& group,
   DLS_SPAN_ARGS("serve.batch.solve",
                 "{\"m\":" + std::to_string(group.chain) +
                     ",\"k\":" + std::to_string(lanes) + "}");
-  DLS_COUNT("serve.batch.groups");
-  DLS_COUNT("serve.batch.lanes", lanes);
-  if (!group.aliases.empty()) {
-    DLS_COUNT("serve.batch.dedup", group.aliases.size());
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.batch_groups;
-    stats_.batched += lanes + group.aliases.size();
-    stats_.batch_deduped += group.aliases.size();
-  }
+  counters_.batch_groups.add();
+  counters_.batch_lanes.add(lanes);
+  counters_.batch_deduped.add(group.aliases.size());
 
   try {
     solve_group_lanes(group, scratch, batch);
@@ -625,36 +612,25 @@ void SchedulerService::respond(FrameSession& session, const Reply& reply) {
   const ScheduleStatus status = multi != nullptr
                                     ? multi->status
                                     : std::get<ScheduleResponse>(reply).status;
-  {
-    // Both traffic kinds land in the same status counters, struct and
-    // metric alike; multi-load kOk answers also count their loads.
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    switch (status) {
-      case ScheduleStatus::kOk:
-        ++stats_.ok;
-        DLS_COUNT("serve.responses.ok");
-        if (multi != nullptr) {
-          stats_.multi_loads += multi->loads.size();
-          DLS_COUNT("serve.multi.loads", multi->loads.size());
-        }
-        break;
-      case ScheduleStatus::kShed:
-        ++stats_.shed;
-        DLS_COUNT("serve.responses.shed");
-        break;
-      case ScheduleStatus::kExpired:
-        ++stats_.expired;
-        DLS_COUNT("serve.responses.expired");
-        break;
-      case ScheduleStatus::kError:
-        ++stats_.errors;
-        DLS_COUNT("serve.responses.error");
-        break;
-      case ScheduleStatus::kDegraded:
-        ++stats_.degraded;
-        DLS_COUNT("serve.degraded");
-        break;
-    }
+  // Both traffic kinds land in the same status counters; multi-load
+  // kOk answers also count their loads.
+  switch (status) {
+    case ScheduleStatus::kOk:
+      counters_.ok.add();
+      if (multi != nullptr) counters_.multi_loads.add(multi->loads.size());
+      break;
+    case ScheduleStatus::kShed:
+      counters_.shed.add();
+      break;
+    case ScheduleStatus::kExpired:
+      counters_.expired.add();
+      break;
+    case ScheduleStatus::kError:
+      counters_.errors.add();
+      break;
+    case ScheduleStatus::kDegraded:
+      counters_.degraded.add();
+      break;
   }
   try {
     write_frame(*session.end,

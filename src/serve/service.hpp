@@ -43,6 +43,7 @@
 #include "core/dls_lbl.hpp"
 #include "exec/thread_pool.hpp"
 #include "net/networks.hpp"
+#include "obs/metrics.hpp"
 #include "serve/cache.hpp"
 #include "serve/multiload_wire.hpp"
 #include "serve/pipe.hpp"
@@ -89,7 +90,9 @@ struct ServiceConfig {
 };
 
 /// Transport-independent response counts (kept regardless of whether
-/// the obs runtime switch is on).
+/// the obs runtime switch is on). Each is a per-instance counter
+/// mirrored into one registry metric (SchedulerService::Counters) or,
+/// where noted, a sum.
 struct ServiceStats {
   std::uint64_t received = 0;  ///< well-formed requests read off the wire
   std::uint64_t admitted = 0;
@@ -101,7 +104,7 @@ struct ServiceStats {
   std::uint64_t poison_frames = 0;  ///< frames recovered via resync or
                                     ///< failing their checksum
   std::uint64_t quarantined = 0;    ///< connections closed for poison
-  std::uint64_t batched = 0;        ///< requests answered via batch solves
+  std::uint64_t batched = 0;        ///< sum: batch lanes + deduped
   std::uint64_t batch_groups = 0;   ///< batched solver runs dispatched
   std::uint64_t batch_deduped = 0;  ///< duplicate topologies answered
                                     ///< from a batchmate's lane
@@ -264,8 +267,24 @@ class SchedulerService {
   bool paused_ = false;
   bool stopping_ = false;
 
-  mutable std::mutex stats_mutex_;
-  ServiceStats stats_;
+  /// One counter per ServiceStats field that is not a sum (plus the
+  /// batch lanes), named after its metric; stats() reads them back.
+  struct Counters {
+    obs::InstanceCounter received{"serve.requests"};
+    obs::InstanceCounter multi_received{"serve.multi.requests"};
+    obs::InstanceCounter admitted{"serve.admitted"};
+    obs::InstanceCounter ok{"serve.responses.ok"};
+    obs::InstanceCounter shed{"serve.responses.shed"};
+    obs::InstanceCounter expired{"serve.responses.expired"};
+    obs::InstanceCounter errors{"serve.responses.error"};
+    obs::InstanceCounter degraded{"serve.degraded"};
+    obs::InstanceCounter multi_loads{"serve.multi.loads"};
+    obs::InstanceCounter inline_hits{"serve.inline_hits"};
+    obs::InstanceCounter batch_groups{"serve.batch.groups"};
+    obs::InstanceCounter batch_lanes{"serve.batch.lanes"};
+    obs::InstanceCounter batch_deduped{"serve.batch.dedup"};
+  };
+  Counters counters_;
 
   /// Grown to the window's group count and reused across windows; only
   /// the dispatcher (and the pool tasks it fans out per window) touch it.

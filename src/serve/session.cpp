@@ -59,14 +59,6 @@ void SessionCore::stop(const std::function<void()>& drain) {
   }
 }
 
-std::uint64_t SessionCore::poison_frames() const noexcept {
-  return poison_frames_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SessionCore::quarantined() const noexcept {
-  return quarantined_.load(std::memory_order_relaxed);
-}
-
 void SessionCore::run(FrameSession& session) {
   std::size_t poison = 0;
   try {
@@ -106,16 +98,14 @@ void SessionCore::run(FrameSession& session) {
 }
 
 bool SessionCore::charge_poison(FrameSession& session, std::size_t& poison) {
-  DLS_COUNT("serve.fault.poison_frames");
-  poison_frames_.fetch_add(1, std::memory_order_relaxed);
+  poison_frames_.add();
   if (++poison <= poison_budget_) return false;
   quarantine(session);
   return true;
 }
 
 void SessionCore::quarantine(FrameSession& session) {
-  quarantined_.fetch_add(1, std::memory_order_relaxed);
-  DLS_COUNT("serve.quarantined");
+  quarantined_.add();
   // Closing only this connection tears down the poisoned peer without
   // touching the owner's other sessions; the client observes EOF for
   // anything it still believes is in flight.

@@ -20,9 +20,9 @@
 //    every reader on stop().
 //  * Fault metrics land under one fixed family for both tiers
 //    (serve.fault.poison_frames, serve.fault.checksum_mismatches,
-//    serve.fault.resync_bytes, serve.quarantined); per-instance counts
-//    are read back through poison_frames() / quarantined() into the
-//    owner's *Stats.
+//    serve.fault.resync_bytes, serve.quarantined); the first and last
+//    are per-instance counters, read back through poison_frames() /
+//    quarantined() into the owner's *Stats.
 #pragma once
 
 #include <atomic>
@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/frame.hpp"
 #include "serve/transport.hpp"
 
@@ -82,10 +83,12 @@ class SessionCore {
 
   /// Poison frames read across all sessions (checksum-failed or
   /// recovered by resync).
-  std::uint64_t poison_frames() const noexcept;
+  std::uint64_t poison_frames() const noexcept {
+    return poison_frames_.value();
+  }
   /// Connections closed for exhausting their poison budget or for a
   /// stream the resync scan could not rescue.
-  std::uint64_t quarantined() const noexcept;
+  std::uint64_t quarantined() const noexcept { return quarantined_.value(); }
 
  private:
   void run(FrameSession& session);
@@ -102,8 +105,8 @@ class SessionCore {
   std::vector<std::unique_ptr<FrameSession>> sessions_;
   bool accepting_ = true;
 
-  std::atomic<std::uint64_t> poison_frames_{0};
-  std::atomic<std::uint64_t> quarantined_{0};
+  obs::InstanceCounter poison_frames_{"serve.fault.poison_frames"};
+  obs::InstanceCounter quarantined_{"serve.quarantined"};
 };
 
 }  // namespace dls::serve

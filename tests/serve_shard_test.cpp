@@ -307,6 +307,33 @@ ScheduleResponse ok_response(double makespan) {
   return response;
 }
 
+TEST(ShardRouterTest, ReplicatedRepeatsAreAllForwarded) {
+  // The replay tier is filled only by the R=1 colocated inline path, so
+  // at R=2 it is never consulted: every repeat of one payload goes to
+  // both owners, whose caches answer it.
+  RouterConfig config;
+  config.replication = 2;
+  Federation fed(3, config);
+  PipeEnd end = fed.router->connect();
+  ScheduleRequest request;
+  request.w = {1.0, 0.8, 1.3};
+  request.z = {0.2, 0.1};
+  constexpr std::uint64_t kRequests = 5;
+  for (std::uint64_t id = 1; id <= kRequests; ++id) {
+    request.request_id = id;
+    const ScheduleResponse answer =
+        dls::serve::decode_schedule_response(round_trip(end, request));
+    ASSERT_EQ(answer.status, ScheduleStatus::kOk) << answer.error;
+    EXPECT_EQ(answer.cache_hit, id > 1);
+  }
+  const RouterStats stats = fed.router->stats();
+  EXPECT_EQ(stats.received, kRequests);
+  EXPECT_EQ(stats.replayed, 0u);
+  EXPECT_EQ(stats.inline_hits, 0u);
+  EXPECT_EQ(stats.forwarded, 2 * kRequests);
+  EXPECT_EQ(stats.quorum_agreed, kRequests);
+}
+
 TEST(ShardRouterTest, ReplayAnswersRepeatsUnderAnyId) {
   // After an inline hit, the replay byte-cache answers every repeat of
   // that request, under a fresh id or its own (an idempotent retry),
