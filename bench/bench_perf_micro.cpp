@@ -36,6 +36,8 @@
 #include "obs/obs.hpp"
 #include "obs/trace_export.hpp"
 #include "protocol/runner.hpp"
+#include "serve/key_hash.hpp"
+#include "serve/shard.hpp"
 #include "sim/linear_execution.hpp"
 #include "sim/simulator.hpp"
 
@@ -377,6 +379,34 @@ BENCHMARK(bm_utility_sweep_speedup)->Unit(benchmark::kMillisecond);
 // the persistent work-stealing pool and waiting for completion. Compare
 // with bm_spawn_join_dispatch, the spawn-per-call pattern the pool
 // replaced in the old analysis-layer sweep driver.
+// The topology key hash (word-wise FNV-1a-64 + fmix64) against the
+// bytewise FNV-1a-64 it replaced for ring placement, on the same bytes
+// in the same run. 32768 bytes is the canonical key of an m=2048 chain.
+// The counter is the measured ratio; floor_ makes it a gated minimum.
+void bm_topology_key_hash(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  dls::common::Rng rng(11);
+  std::vector<std::uint8_t> key(size);
+  for (std::uint8_t& byte : key) {
+    byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  }
+  using clock = std::chrono::steady_clock;
+  double word_seconds = 0.0;
+  double bytewise_seconds = 0.0;
+  for (auto _ : state) {
+    const auto t0 = clock::now();
+    benchmark::DoNotOptimize(dls::serve::topology_key_hash(key));
+    const auto t1 = clock::now();
+    benchmark::DoNotOptimize(dls::serve::shard_hash(key));
+    const auto t2 = clock::now();
+    word_seconds += std::chrono::duration<double>(t1 - t0).count();
+    bytewise_seconds += std::chrono::duration<double>(t2 - t1).count();
+  }
+  state.counters["floor_speedup_vs_bytewise"] =
+      word_seconds > 0.0 ? bytewise_seconds / word_seconds : 0.0;
+}
+BENCHMARK(bm_topology_key_hash)->Arg(4096)->Arg(32768);
+
 void bm_pool_dispatch(benchmark::State& state) {
   auto& pool = dls::exec::ThreadPool::global();
   const std::size_t chunks = std::max<std::size_t>(pool.worker_count(), 1);

@@ -6,6 +6,11 @@
 // Keys are serve::canonical_topology_key encodings (the (w, z) vectors
 // and nothing else); values are shared immutable solutions, so a hit
 // costs one map lookup and a list splice while the solver stays cold.
+// Each entry keeps its key's topology_key_hash (key_hash.hpp), and the
+// index hashes by returning it: a lookup hashes nothing the caller has
+// not hashed already, and insert and LRU eviction never re-read a key
+// to hash it. Keys whose hashes collide stay distinct entries, told
+// apart by their bytes.
 //
 // Thread-safe: every map operation takes the internal mutex. Hit/miss/
 // evict counts are per-instance obs::InstanceCounters (readable
@@ -17,12 +22,11 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 
-#include "codec/bytes.hpp"
 #include "dlt/linear.hpp"
 #include "obs/metrics.hpp"
+#include "serve/key_hash.hpp"
 
 namespace dls::serve {
 
@@ -35,13 +39,15 @@ class SolveCache {
   explicit SolveCache(std::size_t capacity);
 
   /// Returns the cached solution and promotes it to most-recently-used,
-  /// or nullptr on a miss.
-  Value lookup(const codec::Bytes& key);
+  /// or nullptr on a miss. Bare key bytes convert to a KeyRef by
+  /// hashing them once.
+  Value lookup(KeyRef key);
 
-  /// Inserts (or touches) `key`. Evicts the least-recently-used entry
-  /// when full. Re-inserting an existing key keeps the resident value —
-  /// the solver is deterministic, so both values are identical.
-  void insert(const codec::Bytes& key, Value value);
+  /// Inserts (or touches) `key`, moving its bytes into the entry.
+  /// Evicts the least-recently-used entry when full. Re-inserting an
+  /// existing key keeps the resident value — the solver is
+  /// deterministic, so both values are identical.
+  void insert(HashedKey key, Value value);
 
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const;
@@ -52,19 +58,16 @@ class SolveCache {
 
  private:
   struct Entry {
-    std::string key;
+    HashedKey key;
     Value value;
   };
   using EntryList = std::list<Entry>;
 
-  static std::string_view view_of(const codec::Bytes& key) {
-    return {reinterpret_cast<const char*>(key.data()), key.size()};
-  }
-
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   EntryList lru_;  ///< front = most recently used
-  std::unordered_map<std::string_view, EntryList::iterator> index_;
+  /// Views each entry's own key bytes and stored hash.
+  std::unordered_map<KeyRef, EntryList::iterator, KeyRefHash> index_;
   obs::InstanceCounter hits_{"serve.cache.hits"};
   obs::InstanceCounter misses_{"serve.cache.misses"};
   obs::InstanceCounter evictions_{"serve.cache.evictions"};

@@ -128,11 +128,10 @@ class FrameChecksumError : public codec::DecodeError {
   std::uint32_t computed_;
 };
 
-/// The hash the header's checksum field carries: FNV-1a-64 over
-/// little-endian 64-bit words of the payload (bytewise FNV-1a-64 tail),
-/// xor-folded to 32 bits. Platform-stable — words are assembled
-/// little-endian explicitly. Exposed so tests can craft well-formed
-/// frames by hand.
+/// The hash the header's checksum field carries: fnv1a64_words of the
+/// payload (FNV-1a-64 over little-endian 64-bit words, bytewise tail;
+/// key_hash.hpp), xor-folded to 32 bits. Platform-stable. Exposed so
+/// tests can craft well-formed frames by hand.
 std::uint32_t frame_checksum(std::span<const std::uint8_t> payload) noexcept;
 
 /// Frame <-> bytes. decode_frame is strict: the buffer must hold exactly

@@ -156,14 +156,14 @@ void ShardRouter::on_frame(Session* session, const Frame& frame) {
 
 bool ShardRouter::try_replay(Session* session,
                              std::span<const std::uint8_t> payload) {
-  const std::span<const std::uint8_t> key =
+  const std::span<const std::uint8_t> suffix =
       schedule_request_replay_key(payload);
-  if (key.empty()) return false;
+  if (suffix.empty()) return false;
+  const KeyRef key(suffix, topology_key_hash(suffix));
   codec::Bytes encoded;
   {
     std::lock_guard<std::mutex> lock(replay_mutex_);
-    const auto it = replay_cache_.find(std::string_view(
-        reinterpret_cast<const char*>(key.data()), key.size()));
+    const auto it = replay_cache_.find(key);
     if (it == replay_cache_.end()) return false;
     encoded = it->second;
   }
@@ -178,21 +178,18 @@ bool ShardRouter::try_replay(Session* session,
 
 void ShardRouter::store_replay(std::span<const std::uint8_t> payload,
                                const codec::Bytes& encoded) {
-  const std::span<const std::uint8_t> key =
+  const std::span<const std::uint8_t> suffix =
       schedule_request_replay_key(payload);
-  if (key.empty()) return;
-  std::string owned(reinterpret_cast<const char*>(key.data()), key.size());
+  if (suffix.empty()) return;
+  HashedKey key(codec::Bytes(suffix.begin(), suffix.end()));
   std::lock_guard<std::mutex> lock(replay_mutex_);
-  if (replay_cache_.find(std::string_view(owned)) != replay_cache_.end()) {
-    return;
-  }
-  while (replay_cache_.size() >= config_.replay_cache_capacity &&
-         !replay_fifo_.empty()) {
+  if (replay_cache_.contains(key)) return;
+  if (replay_fifo_.size() >= config_.replay_cache_capacity) {
     replay_cache_.erase(replay_fifo_.front());
     replay_fifo_.pop_front();
   }
-  replay_fifo_.push_back(owned);
-  replay_cache_.emplace(std::move(owned), encoded);
+  replay_fifo_.push_back(std::move(key));
+  replay_cache_.emplace(replay_fifo_.back(), encoded);
 }
 
 void ShardRouter::handle_request(Session* session,
@@ -201,7 +198,9 @@ void ShardRouter::handle_request(Session* session,
   // Malformed instances key like any other, so they still get a
   // deterministic owner, whose solver answers with the canonical kError
   // text.
-  const codec::Bytes key = canonical_topology_key(request.w, request.z);
+  // Keyed and hashed once: the hash places the key on the ring and
+  // indexes the colocated cache probe below.
+  const HashedKey key = canonical_topology_key(request.w, request.z);
   std::vector<std::size_t> owners;
   {
     std::lock_guard<std::mutex> lock(health_mutex_);
@@ -223,7 +222,8 @@ void ShardRouter::handle_request(Session* session,
   if (config_.replication == 1 && !config_.local.empty()) {
     SchedulerService* local = config_.local[owners[0]];
     ScheduleResponse response;
-    if (local != nullptr && local->try_serve_inline(request, response)) {
+    if (local != nullptr &&
+        local->try_serve_inline(request, key, response)) {
       counters_.inline_hits.add();
       // Encode once: the payload answers this client AND seeds the
       // replay byte-cache, so the next identical request skips decode

@@ -38,7 +38,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -47,6 +46,7 @@
 
 #include "obs/metrics.hpp"
 #include "protocol/recovery.hpp"
+#include "serve/key_hash.hpp"
 #include "serve/pipe.hpp"
 #include "serve/service.hpp"
 #include "serve/session.hpp"
@@ -194,7 +194,8 @@ class ShardRouter {
   bool try_replay(Session* session,
                   std::span<const std::uint8_t> payload);
   /// Stores an inline answer's response payload `encoded` under the
-  /// request's id-less suffix. Caller holds no locks.
+  /// request's id-less suffix, hashing the suffix once and evicting the
+  /// oldest entry when full. Caller holds no locks.
   void store_replay(std::span<const std::uint8_t> payload,
                     const codec::Bytes& encoded);
   /// Sends the validated request `payload` to `shard` under the link's
@@ -249,21 +250,14 @@ class ShardRouter {
   /// the colocated inline path that fills it can run.
   const bool replay_;
 
-  /// Heterogeneous-lookup hash so replay lookups hash the raw payload
-  /// suffix without materialising a std::string first.
-  struct ReplayKeyHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view key) const {
-      return std::hash<std::string_view>{}(key);
-    }
-  };
   /// Leaf lock: never held together with any other router mutex.
   mutable std::mutex replay_mutex_;
-  /// Request payload after the id -> response payload encoding.
-  std::unordered_map<std::string, codec::Bytes, ReplayKeyHash,
-                     std::equal_to<>>
-      replay_cache_;
-  std::deque<std::string> replay_fifo_;  ///< insertion order, for eviction
+  /// Request payload after the id, oldest first: owns the bytes the
+  /// cache's keys view, and gives the FIFO eviction order.
+  std::deque<HashedKey> replay_fifo_;
+  /// -> response payload encoding. Keyed by the stored hash, so neither
+  /// insertion nor eviction reads a key's bytes to hash them.
+  std::unordered_map<KeyRef, codec::Bytes, KeyRefHash> replay_cache_;
 
   std::thread monitor_;
   /// Built from config_; stop() joins its readers, which call back into

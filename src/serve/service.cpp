@@ -68,6 +68,7 @@ void SchedulerService::adopt(std::unique_ptr<Transport> transport) {
 }
 
 bool SchedulerService::try_serve_inline(const ScheduleRequest& request,
+                                        KeyRef key,
                                         ScheduleResponse& response) {
   // Deadline accounting is admission-relative and owned by the framed
   // path; serving such a request inline could answer where triage
@@ -78,8 +79,7 @@ bool SchedulerService::try_serve_inline(const ScheduleRequest& request,
   }
   // A malformed instance is never cached, so it misses here and the
   // framed path produces its kError.
-  const SolveCache::Value solution =
-      cache_.lookup(canonical_topology_key(request.w, request.z));
+  const SolveCache::Value solution = cache_.lookup(key);
   if (!solution) return false;
   response = solved_response(request.request_id, *solution, true);
   counters_.inline_hits.add();
@@ -274,7 +274,7 @@ void SchedulerService::process_batch(std::vector<Pending>& batch) {
       if (t < group_count) {
         solve_group(groups[t], *dispatch_scratch_[t], batch, replies);
       } else {
-        const SingleTask& task = singles[t - group_count];
+        SingleTask& task = singles[t - group_count];
         if (batch[task.index].multi) {
           replies[task.index] = handle_multi(batch[task.index]);
         } else {
@@ -354,7 +354,8 @@ void SchedulerService::classify_window(const std::vector<Pending>& batch,
       continue;
     }
 
-    codec::Bytes key = canonical_topology_key(request.w, request.z);
+    // Keyed and hashed once: the hash rides along to insert.
+    HashedKey key = canonical_topology_key(request.w, request.z);
     SolveCache::Value solution = cache_.lookup(key);
     if (solution && !request.options.want_payments) {
       replies[i] = solved_response(request.request_id, *solution, true);
@@ -440,7 +441,7 @@ void SchedulerService::solve_group_lanes(const MissGroup& group,
   scratch.solver.solve();
 }
 
-void SchedulerService::solve_group(const MissGroup& group,
+void SchedulerService::solve_group(MissGroup& group,
                                    DispatchScratch& scratch,
                                    const std::vector<Pending>& batch,
                                    std::vector<Reply>& replies) {
@@ -473,7 +474,7 @@ void SchedulerService::solve_group(const MissGroup& group,
     auto solved = std::make_shared<dlt::LinearSolution>();
     scratch.solver.extract(lane, *solved);
     solutions[lane] = std::move(solved);
-    cache_.insert(group.keys[lane], solutions[lane]);
+    cache_.insert(std::move(group.keys[lane]), solutions[lane]);
 
     replies[i] = solved_response(request.request_id, *solutions[lane], false);
     if (request.options.want_payments) {
@@ -502,7 +503,7 @@ void SchedulerService::solve_group(const MissGroup& group,
 }
 
 ScheduleResponse SchedulerService::handle(const Pending& pending,
-                                          const SingleTask& task) {
+                                          SingleTask& task) {
   DLS_SPAN("serve.handle");
   const ScheduleRequest& request = pending.request;
   try {
@@ -513,7 +514,7 @@ ScheduleResponse SchedulerService::handle(const Pending& pending,
       dlt::solve_linear_boundary_into(network, *solved,
                                       /*want_steps=*/false);
       solution = std::move(solved);
-      cache_.insert(task.key, solution);
+      cache_.insert(std::move(task.key), solution);
     }
     ScheduleResponse response = solved_response(
         request.request_id, *solution, task.solution != nullptr);

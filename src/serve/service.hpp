@@ -45,6 +45,7 @@
 #include "net/networks.hpp"
 #include "obs/metrics.hpp"
 #include "serve/cache.hpp"
+#include "serve/key_hash.hpp"
 #include "serve/multiload_wire.hpp"
 #include "serve/pipe.hpp"
 #include "serve/service_wire.hpp"
@@ -137,12 +138,14 @@ class SchedulerService {
 
   /// Colocated fast path for a router sharing this process: answers
   /// `request` from the solve cache without touching the wire, the
-  /// admission queue or the dispatcher. Returns true (and fills
-  /// `response`, bit-identical to a queued cache hit) only for
-  /// payment-free cache hits on a valid instance; everything else —
-  /// misses, payments, malformed requests — returns false so the caller
-  /// falls back to the framed path and its full admission semantics.
-  bool try_serve_inline(const ScheduleRequest& request,
+  /// admission queue or the dispatcher. `key` is the request's
+  /// canonical_topology_key with its hash, as the router placed it.
+  /// Returns true (and fills `response`, bit-identical to a queued
+  /// cache hit) only for payment-free cache hits on a valid instance;
+  /// everything else — misses, payments, malformed requests — returns
+  /// false so the caller falls back to the framed path and its full
+  /// admission semantics.
+  bool try_serve_inline(const ScheduleRequest& request, KeyRef key,
                         ScheduleResponse& response);
 
   /// Holds / releases the dispatcher. Admission keeps running while
@@ -194,7 +197,7 @@ class SchedulerService {
   struct MissGroup {
     std::size_t chain = 0;  ///< processors per instance
     std::vector<std::size_t> members;
-    std::vector<codec::Bytes> keys;  ///< cache key per lane
+    std::vector<HashedKey> keys;  ///< cache key per lane
     std::vector<net::LinearNetwork> networks;  ///< validated, per lane
     std::vector<std::pair<std::size_t, std::size_t>> aliases;
   };
@@ -213,7 +216,7 @@ class SchedulerService {
   struct SingleTask {
     std::size_t index = 0;
     std::optional<net::LinearNetwork> network;
-    codec::Bytes key;
+    HashedKey key;
     SolveCache::Value solution;  ///< null = known miss
   };
 
@@ -229,16 +232,18 @@ class SchedulerService {
                        std::vector<SingleTask>& singles,
                        std::vector<MissGroup>& groups);
   /// Solves one miss group on the pool; fills member and alias
-  /// responses (bit-identical to handle() on each request alone).
+  /// responses (bit-identical to handle() on each request alone) and
+  /// moves each lane's key into the cache.
   void solve_group_lanes(const MissGroup& group, DispatchScratch& scratch,
                          const std::vector<Pending>& batch);
-  void solve_group(const MissGroup& group, DispatchScratch& scratch,
+  void solve_group(MissGroup& group, DispatchScratch& scratch,
                    const std::vector<Pending>& batch,
                    std::vector<Reply>& replies);
   /// Solves (or refuses) one triaged request; pure apart from cache and
   /// metric updates, so batch items run concurrently on the pool. Solves
-  /// only a known miss; payments reuse the one solution, cached or fresh.
-  ScheduleResponse handle(const Pending& pending, const SingleTask& task);
+  /// only a known miss, moving the task's key into the cache; payments
+  /// reuse the one solution, cached or fresh.
+  ScheduleResponse handle(const Pending& pending, SingleTask& task);
   /// Solves (or refuses) one triaged multi-load request via
   /// multiload::MultiLoadSolver.
   MultiScheduleResponse handle_multi(const Pending& pending);

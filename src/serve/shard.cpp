@@ -68,23 +68,22 @@ bool ShardMap::set_alive(std::size_t shard, bool alive) {
   return true;
 }
 
-std::size_t ShardMap::ring_start(std::span<const std::uint8_t> key) const {
-  const std::uint64_t point = shard_hash(key);
+std::size_t ShardMap::ring_start(std::uint64_t key_hash) const {
   const auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), point,
+      ring_.begin(), ring_.end(), key_hash,
       [](const VNode& node, std::uint64_t p) { return node.point < p; });
   if (it == ring_.end()) return 0;  // wrap past the top of the ring
   return static_cast<std::size_t>(it - ring_.begin());
 }
 
-std::vector<std::size_t> ShardMap::owners(std::span<const std::uint8_t> key,
+std::vector<std::size_t> ShardMap::owners(KeyRef key,
                                           std::size_t replicas) const {
   std::vector<std::size_t> found;
   if (replicas == 0) return found;
   const std::size_t want = std::min(replicas, alive_count());
   if (want == 0) return found;
   found.reserve(want);
-  const std::size_t start = ring_start(key);
+  const std::size_t start = ring_start(key.hash);
   for (std::size_t step = 0; step < ring_.size() && found.size() < want;
        ++step) {
     const VNode& node = ring_[(start + step) % ring_.size()];
@@ -97,8 +96,8 @@ std::vector<std::size_t> ShardMap::owners(std::span<const std::uint8_t> key,
   return found;
 }
 
-std::size_t ShardMap::primary(std::span<const std::uint8_t> key) const {
-  const std::size_t start = ring_start(key);
+std::size_t ShardMap::primary(KeyRef key) const {
+  const std::size_t start = ring_start(key.hash);
   for (std::size_t step = 0; step < ring_.size(); ++step) {
     const VNode& node = ring_[(start + step) % ring_.size()];
     if (alive_[node.shard]) return node.shard;

@@ -1,8 +1,18 @@
 // Consistent-hash shard map over the canonical (w, z) keyspace.
 //
 // The federation tier partitions problem instances across N
-// SchedulerService shards by hashing the canonical_topology_key bytes
-// onto a virtual-node ring (FNV-1a 64, `vnodes` points per shard).
+// SchedulerService shards on a virtual-node ring (`vnodes` points per
+// shard). Two hashes meet on the ring:
+//  * vnode points are shard_hash (bytewise FNV-1a-64) of the
+//    (shard, vnode) index pair, so the ring and its arcs are fixed by
+//    the shard count and vnode count alone;
+//  * a key's position is its topology_key_hash (word-wise FNV-1a-64
+//    plus fmix64, key_hash.hpp), the same hash a shard's SolveCache
+//    indexes the key by, so each hop hashes a key once. The key hash
+//    replaced bytewise FNV-1a-64 of the whole key (about 4 cycles per
+//    byte, 54 µs on a 32 KB key): a given key may now sit on a
+//    different shard than before, while every answer stays
+//    byte-identical.
 // Ownership of a key is the first alive shard clockwise from the key's
 // ring position; replication walks further clockwise collecting the
 // next distinct alive shards. Marking a shard dead therefore moves
@@ -19,10 +29,12 @@
 #include <span>
 #include <vector>
 
+#include "serve/key_hash.hpp"
+
 namespace dls::serve {
 
-/// FNV-1a 64 — the ring-point and key hash. Stable across platforms so
-/// shard assignment is reproducible in tests and across processes.
+/// Bytewise FNV-1a 64 — the vnode-point hash. Stable across platforms so
+/// the ring is reproducible in tests and across processes.
 std::uint64_t shard_hash(std::span<const std::uint8_t> data) noexcept;
 
 struct ShardMapConfig {
@@ -47,13 +59,13 @@ class ShardMap {
   /// The first `replicas` *distinct alive* shards clockwise from the
   /// key's ring position: owners[0] is the primary, the rest are
   /// replica holders. Shorter than `replicas` when fewer shards are
-  /// alive; empty when none are.
-  std::vector<std::size_t> owners(std::span<const std::uint8_t> key,
-                                  std::size_t replicas) const;
+  /// alive; empty when none are. Bare key bytes convert to a KeyRef by
+  /// hashing; a HashedKey passes the hash it already carries.
+  std::vector<std::size_t> owners(KeyRef key, std::size_t replicas) const;
 
   /// owners(key, 1) without the vector: the primary alive shard, or
   /// shard_count() when everything is dead.
-  std::size_t primary(std::span<const std::uint8_t> key) const;
+  std::size_t primary(KeyRef key) const;
 
  private:
   struct VNode {
@@ -61,9 +73,9 @@ class ShardMap {
     std::uint32_t shard;
   };
 
-  /// Index into ring_ of the first vnode at/after the key's hash
-  /// (wrapping), ignoring liveness.
-  std::size_t ring_start(std::span<const std::uint8_t> key) const;
+  /// Index into ring_ of the first vnode at/after `key_hash` (wrapping),
+  /// ignoring liveness.
+  std::size_t ring_start(std::uint64_t key_hash) const;
 
   std::vector<VNode> ring_;  ///< sorted by point
   std::vector<bool> alive_;

@@ -23,6 +23,7 @@ namespace {
 
 using dls::codec::Bytes;
 using dls::common::Rng;
+using dls::serve::HashedKey;
 using dls::serve::ScheduleOptions;
 using dls::serve::ScheduleResponse;
 using dls::serve::ScheduleStatus;
@@ -85,6 +86,32 @@ TEST(SolveCacheTest, CapacityZeroDisables) {
   EXPECT_EQ(cache.lookup(key_of("a")), nullptr);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(SolveCacheTest, CollidingHashesStayDistinctEntries) {
+  // Two keys forced onto one stored hash: each lookup still finds its
+  // own solution, a colliding stranger misses, and evicting either key
+  // leaves the other resident.
+  for (const bool evict_first : {true, false}) {
+    SolveCache cache(2);
+    HashedKey a = key_of("a");
+    HashedKey b = key_of("b");
+    HashedKey stranger = key_of("s");
+    a.hash = b.hash = stranger.hash = 42;
+    const SolveCache::Value va = dummy_solution();
+    const SolveCache::Value vb = dummy_solution();
+    cache.insert(a, va);
+    cache.insert(b, vb);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.lookup(stranger), nullptr);
+    // Look the survivor-to-be up last so the other one is the LRU entry.
+    EXPECT_EQ(cache.lookup(evict_first ? a : b), evict_first ? va : vb);
+    EXPECT_EQ(cache.lookup(evict_first ? b : a), evict_first ? vb : va);
+    cache.insert(key_of("c"), dummy_solution());
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(cache.lookup(evict_first ? a : b), nullptr);
+    EXPECT_EQ(cache.lookup(evict_first ? b : a), evict_first ? vb : va);
+  }
 }
 
 /// Strips the per-call identity, leaving only solver-derived content.

@@ -139,6 +139,27 @@ TEST(FrameTest, EncodeDecodeIdentityForEveryType) {
   EXPECT_TRUE(empty.payload.empty());
 }
 
+TEST(FrameTest, ChecksumIsTheDocumentedWordwiseFnv1a64Fold) {
+  // The DLSF v3 header checksum: FNV-1a-64 over little-endian 8-byte
+  // words plus a bytewise tail, xor-folded to 32 bits. Pinned for the
+  // empty, one-byte, one-word, word-plus-tail and 512-word cases so the
+  // word loop it shares with the topology key hash cannot move bytes on
+  // the wire.
+  const auto pattern_of = [](std::size_t n) {
+    Bytes out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    }
+    return out;
+  };
+  using dls::serve::frame_checksum;
+  EXPECT_EQ(frame_checksum(pattern_of(0)), 0x4fd0bfc1u);
+  EXPECT_EQ(frame_checksum(pattern_of(1)), 0x2962088au);
+  EXPECT_EQ(frame_checksum(pattern_of(8)), 0xd8f0a711u);
+  EXPECT_EQ(frame_checksum(pattern_of(9)), 0x5ecac36cu);
+  EXPECT_EQ(frame_checksum(pattern_of(4096)), 0x15d232edu);
+}
+
 TEST(FrameTest, EveryTruncationPrefixIsRejected) {
   const Bytes wire = dls::serve::encode_frame(
       Frame{FrameType::kScheduleRequest, bytes_of({9, 8, 7})});

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -15,6 +16,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "codec/bytes.hpp"
@@ -22,6 +24,7 @@
 #include "common/rng.hpp"
 #include "serve/client.hpp"
 #include "serve/frame.hpp"
+#include "serve/key_hash.hpp"
 #include "serve/pipe.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
@@ -61,6 +64,78 @@ TEST(ShardMapTest, HashIsTheDocumentedFnv1a64) {
   EXPECT_EQ(dls::serve::shard_hash({}), 14695981039346656037ull);
   const Bytes a = {0x61};  // "a"
   EXPECT_EQ(dls::serve::shard_hash(a), 0xaf63dc4c8601ec8cull);
+}
+
+/// `n` bytes of a fixed, non-repeating pattern.
+Bytes pattern_of(std::size_t n) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  return out;
+}
+
+TEST(ShardMapTest, KeyHashIsTheDocumentedWordwiseFnv1a64) {
+  // fmix64 of FNV-1a-64 over little-endian 8-byte words plus a bytewise
+  // tail: the empty, one-byte, one-word, word-plus-tail and 512-word
+  // cases. These values fix ring placement and the cache index.
+  using dls::serve::topology_key_hash;
+  EXPECT_EQ(topology_key_hash(pattern_of(0)), 0xefd01f60ba992926ull);
+  EXPECT_EQ(topology_key_hash(pattern_of(1)), 0xd8c9bb075c493102ull);
+  EXPECT_EQ(topology_key_hash(pattern_of(8)), 0xddd0515a86a170a1ull);
+  EXPECT_EQ(topology_key_hash(pattern_of(9)), 0x4432aa671cd06e7full);
+  EXPECT_EQ(topology_key_hash(pattern_of(4096)), 0x186187f796fb9b2aull);
+  // The hash a HashedKey carries and a KeyRef computes is this one.
+  const Bytes key = pattern_of(9);
+  EXPECT_EQ(dls::serve::HashedKey(key).hash, 0x4432aa671cd06e7full);
+  EXPECT_EQ(dls::serve::KeyRef(key).hash, 0x4432aa671cd06e7full);
+}
+
+/// Primary-shard shares of `keys` on `map`.
+std::vector<double> primary_shares(const ShardMap& map,
+                                   const std::vector<Bytes>& keys) {
+  std::vector<double> shares(map.shard_count(), 0.0);
+  for (const Bytes& key : keys) shares[map.primary(key)] += 1.0;
+  for (double& share : shares) share /= static_cast<double>(keys.size());
+  return shares;
+}
+
+TEST(ShardMapTest, ChainsDifferingOnlyInTheirLastZPlaceLikeRandomKeys) {
+  // Keys that share everything but their last bytes must spread over the
+  // ring like unrelated keys: the finaliser mixes the tail into every
+  // bit the ring compares.
+  constexpr std::size_t kKeys = 4000;
+  constexpr std::size_t kChain = 16;
+  const ShardMap map(3);
+  dls::common::Rng rng(17);
+  std::vector<double> w(kChain, 1.0);
+  std::vector<double> z(kChain - 1, 0.1);
+  std::vector<Bytes> chains;  // the last z steps one ulp at a time
+  std::vector<Bytes> words;   // only the last 8-byte word's low bits differ
+  std::vector<Bytes> random;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    z.back() = std::bit_cast<double>(std::bit_cast<std::uint64_t>(0.1) + i);
+    chains.push_back(dls::serve::canonical_topology_key(w, z));
+    Bytes word_key(32, 0x5a);
+    for (std::size_t b = 0; b < 8; ++b) {
+      word_key[24 + b] = static_cast<std::uint8_t>(i >> (8 * b));
+    }
+    words.push_back(std::move(word_key));
+    std::vector<double> rw(kChain);
+    std::vector<double> rz(kChain - 1);
+    for (double& x : rw) x = rng.uniform(0.5, 2.0);
+    for (double& x : rz) x = rng.uniform(0.05, 0.5);
+    random.push_back(dls::serve::canonical_topology_key(rw, rz));
+  }
+  const std::vector<double> want = primary_shares(map, random);
+  for (const std::vector<Bytes>* structured : {&chains, &words}) {
+    const std::vector<double> got = primary_shares(map, *structured);
+    for (std::size_t shard = 0; shard < got.size(); ++shard) {
+      EXPECT_NEAR(got[shard], want[shard], 0.05)
+          << (structured == &chains ? "chains" : "words") << ", shard "
+          << shard;
+    }
+  }
 }
 
 TEST(ShardMapTest, OwnersAreDistinctAliveAndDeterministic) {
@@ -395,6 +470,45 @@ TEST(ShardRouterTest, ReplayAnswersRepeatsUnderAnyId) {
   EXPECT_EQ(stats.inline_hits, 1u);
   EXPECT_EQ(stats.received, 8u);
   EXPECT_EQ(stats.answered_ok, 8u);
+  end.close();
+}
+
+TEST(ShardRouterTest, ReplayCacheEvictsInInsertionOrderAtCapacity) {
+  // The replay tier holds replay_cache_capacity answers and evicts the
+  // oldest insertion first; a replay hit does not refresh an entry.
+  RouterConfig config;
+  config.replay_cache_capacity = 2;
+  Federation fed(3, config);
+  PipeEnd end = fed.router->connect();
+  std::uint64_t next_id = 1;
+  const auto send = [&](double last_z) {
+    ScheduleRequest request;
+    request.request_id = next_id++;
+    request.w = {1.0, 1.2, 0.9};
+    request.z = {0.15, last_z};
+    const ScheduleResponse answer =
+        dls::serve::decode_schedule_response(round_trip(end, request));
+    EXPECT_EQ(answer.status, ScheduleStatus::kOk) << answer.error;
+  };
+  const auto counts = [&] {
+    const RouterStats stats = fed.router->stats();
+    return std::pair{stats.inline_hits, stats.replayed};
+  };
+  // Solve A, B, C, then answer each inline once: A, B, C are stored in
+  // that order and A falls out.
+  for (const double z : {0.1, 0.2, 0.3}) send(z);
+  for (const double z : {0.1, 0.2, 0.3}) send(z);
+  EXPECT_EQ(counts(), std::pair(std::uint64_t{3}, std::uint64_t{0}));
+  send(0.3);  // C replays
+  send(0.2);  // B replays
+  EXPECT_EQ(counts(), std::pair(std::uint64_t{3}, std::uint64_t{2}));
+  send(0.1);  // A is gone: inline again, stored, and B (oldest) leaves
+  EXPECT_EQ(counts(), std::pair(std::uint64_t{4}, std::uint64_t{2}));
+  send(0.3);  // C stays
+  send(0.1);  // A replays
+  EXPECT_EQ(counts(), std::pair(std::uint64_t{4}, std::uint64_t{4}));
+  send(0.2);  // B was evicted, though it replayed after C
+  EXPECT_EQ(counts(), std::pair(std::uint64_t{5}, std::uint64_t{4}));
   end.close();
 }
 
